@@ -23,6 +23,26 @@ def percentile(values, p):
     return ordered[_rank(p, len(ordered)) - 1]
 
 
+def balanced(groups):
+    """Cuts every group's samples (in arrival order) to the smallest
+    group's count, so each group weighs the same in pooled statistics:
+    whole cycles of a closed loop that takes the groups in turn."""
+    keep = min(len(v) for v in groups.values())
+    return {k: v[:keep] for k, v in groups.items()}
+
+
+def latency_percentiles(groups):
+    """(p50, p90, n) of request latencies grouped by target. p50 is the
+    mean over targets of each target's median: a pooled median of
+    targets that cost different amounts sits at the edge between the
+    cheap and the dear ones and reads a tail. p90 is pooled over the
+    balanced samples, so it has >= 10 samples beyond it from n = 100."""
+    even = balanced(groups)
+    pooled = [x for v in even.values() for x in v]
+    p50 = sum(percentile(v, 50) for v in even.values()) / len(even)
+    return p50, percentile(pooled, 90), len(pooled)
+
+
 def tail_percentile(n, candidates=(99.9, 99.0, 90.0), beyond=10):
     """Highest candidate percentile with at least `beyond` of `n` samples
     above its nearest rank, or None when even the lowest has fewer."""

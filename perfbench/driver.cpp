@@ -2,14 +2,14 @@
 //
 //   perfbench_driver --workload solo_train|reconstruct_stream
 //                    --seed N --seconds S --trace 0|1 [--spans PATH]
-//   perfbench_driver --reference PROFILE --seed N --datasets K
+//   perfbench_driver --workload served_reference --seed N
 //                    --trace 0|1 [--spans PATH]
 //
 // Each run prints, as its last stdout line, one JSON object of raw
-// samples that run.py turns into metrics. `--reference` computes the
-// threads=1 Session result on the K datasets that the daemon's
-// `gen <name> PROFILE <seed>` verb prepares, formatted like the daemon's
-// `wait` reply, so served_mix can compare replies exactly.
+// samples that run.py turns into metrics. `served_reference` computes
+// the threads=1 Session result on the served_mix datasets (what the
+// daemon's `gen <name> enron <seed>` verb prepares), formatted like the
+// daemon's `wait` reply, so served_mix can compare replies exactly.
 //
 // With --trace 1 the driver records spans around its calls into each
 // layer (kept in memory, written to --spans at exit) and, outside the
@@ -30,6 +30,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "api/session.hpp"
@@ -44,6 +45,8 @@
 #include "ml/mlp.hpp"
 #include "ml/scaler.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -87,83 +90,53 @@ std::string NumList(const std::vector<double>& v) {
   return out + "]";
 }
 
+[[noreturn]] void Fail(const std::string& what) {
+  std::cerr << "perfbench_driver: " << what << "\n";
+  std::exit(2);
+}
+
+[[noreturn]] void Die(const std::string& what, const api::Status& status) {
+  Fail(what + ": " + status.ToString());
+}
+
 // ---------------------------------------------------------------- spans
 
-/// One timed call: name, [start, end] in seconds since process start,
-/// the enclosing span (0 = root) and the request it belongs to.
-struct Span {
-  uint64_t id = 0;
-  uint64_t parent = 0;
-  std::string name;
-  std::string request;
-  double start = 0.0;
-  double end = 0.0;
-};
+/// A span around one layer call, recorded into the benchmark's own ring;
+/// none in untraced runs (null ring). Nesting in the benchmark's code is
+/// nesting in the trace (obs::TraceSpan links parents per thread).
+std::optional<obs::TraceSpan> Span(obs::TraceRing* ring, const char* name,
+                                   const std::string& request) {
+  if (ring == nullptr) return std::nullopt;
+  return std::optional<obs::TraceSpan>(std::in_place, name, request, ring);
+}
 
-/// In-memory span recorder. Parents come from a stack of open spans, so
-/// nesting in the benchmark's code is nesting in the trace.
-class Tracer {
- public:
-  uint64_t Open(std::string name, std::string request) {
-    Span span;
-    span.id = spans_.size() + 1;
-    span.parent = open_.empty() ? 0 : open_.back();
-    span.name = std::move(name);
-    span.request = std::move(request);
-    span.start = Now();
-    spans_.push_back(std::move(span));
-    open_.push_back(spans_.back().id);
-    return spans_.back().id;
+/// Room for every span of a run: the ring must never evict.
+constexpr size_t kRingCapacity = 1 << 16;
+
+/// Mean seconds to open and close one span, measured on a scratch ring,
+/// so run.py can state the overhead of the recorded spans.
+double CostPerSpan() {
+  constexpr int kSpans = 200'000;
+  obs::TraceRing scratch(kSpans);
+  double t0 = Now();
+  for (int i = 0; i < kSpans; ++i) {
+    obs::TraceSpan span("session.reconstruct", "r", &scratch);
   }
-  void Close(uint64_t id) {
-    spans_[id - 1].end = Now();
-    open_.pop_back();
+  return (Now() - t0) / kSpans;
+}
+
+/// Writes the ring's spans as JSON lines (id, parent, name, request,
+/// start, end in seconds on the trace clock); exits if any was evicted.
+void WriteSpans(const obs::TraceRing& ring, const std::string& path) {
+  if (ring.size() >= ring.capacity()) Fail("span ring full; spans lost");
+  std::ofstream out(path);
+  for (const obs::SpanRecord& s : ring.Snapshot()) {
+    out << "{\"id\":" << s.id << ",\"parent\":" << s.parent_id
+        << ",\"name\":\"" << s.name << "\",\"request\":\"" << s.detail
+        << "\",\"start\":" << Num(s.start_seconds)
+        << ",\"end\":" << Num(s.start_seconds + s.duration_seconds) << "}\n";
   }
-  const std::vector<Span>& spans() const { return spans_; }
-
-  /// Mean seconds to open and close one span, measured on a scratch
-  /// tracer, so run.py can state the overhead of the recorded spans.
-  static double CostPerSpan() {
-    Tracer scratch;
-    constexpr int kSpans = 200'000;
-    double t0 = Now();
-    for (int i = 0; i < kSpans; ++i) {
-      scratch.Close(scratch.Open("session.reconstruct", "r"));
-    }
-    return (Now() - t0) / kSpans;
-  }
-
-  void Write(const std::string& path) const {
-    std::ofstream out(path);
-    for (const Span& s : spans_) {
-      out << "{\"id\":" << s.id << ",\"parent\":" << s.parent
-          << ",\"name\":\"" << s.name << "\",\"request\":\"" << s.request
-          << "\",\"start\":" << Num(s.start) << ",\"end\":" << Num(s.end)
-          << "}\n";
-    }
-  }
-
- private:
-  std::vector<Span> spans_;
-  std::vector<uint64_t> open_;
-};
-
-/// RAII span; a null tracer records nothing (the untraced runs).
-class Scope {
- public:
-  Scope(Tracer* tracer, const char* name, const std::string& request)
-      : tracer_(tracer),
-        id_(tracer ? tracer->Open(name, request) : 0) {}
-  ~Scope() {
-    if (tracer_) tracer_->Close(id_);
-  }
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  Tracer* tracer_;
-  uint64_t id_;
-};
+}
 
 // ------------------------------------------------------------- workload
 
@@ -192,26 +165,17 @@ bool Same(const api::EvaluationResult& a, const api::EvaluationResult& b) {
          a.reconstructed_total_edges == b.reconstructed_total_edges;
 }
 
-[[noreturn]] void Fail(const std::string& what) {
-  std::cerr << "perfbench_driver: " << what << "\n";
-  std::exit(2);
-}
-
-[[noreturn]] void Die(const std::string& what, const api::Status& status) {
-  Fail(what + ": " + status.ToString());
-}
-
 /// Configure + Train on `t`, with a span per stage.
 std::unique_ptr<api::Session> TrainSession(const Target& t, int threads,
-                                           Tracer* tracer,
+                                           obs::TraceRing* ring,
                                            const std::string& request) {
   auto session = std::make_unique<api::Session>();
   {
-    Scope span(tracer, "session.configure", request);
+    auto span = Span(ring, "session.configure", request);
     api::Status s = session->Configure(MakeOptions(threads));
     if (!s.ok()) Die("configure", s);
   }
-  Scope span(tracer, "session.train", request);
+  auto span = Span(ring, "session.train", request);
   api::Status s = session->Train(t.data.train());
   if (!s.ok()) Die("train " + t.name, s);
   return session;
@@ -250,7 +214,7 @@ struct Request {
 /// the request's stage times and loop counters. nullopt on a failed
 /// stage.
 std::optional<api::EvaluationResult> ReconstructAndEvaluate(
-    api::Session* session, const Target& t, Tracer* tracer,
+    api::Session* session, const Target& t, obs::TraceRing* ring,
     const std::string& request, Request* out, LoopCounts* loop) {
   const util::StageTimer& timer = session->stage_timer();
   LoopCounts before = ReadLoopCounts(timer);
@@ -259,7 +223,7 @@ std::optional<api::EvaluationResult> ReconstructAndEvaluate(
   double cpu0 = ProcessCpuSeconds();
   api::Status s;
   {
-    Scope span(tracer, "session.reconstruct", request);
+    auto span = Span(ring, "session.reconstruct", request);
     s = session->Reconstruct(t.data.target_input());
   }
   out->reconstruct_cpu = ProcessCpuSeconds() - cpu0;
@@ -269,7 +233,7 @@ std::optional<api::EvaluationResult> ReconstructAndEvaluate(
   }
   std::optional<api::StatusOr<api::EvaluationResult>> evaluated;
   {
-    Scope span(tracer, "session.evaluate", request);
+    auto span = Span(ring, "session.evaluate", request);
     evaluated.emplace(session->Evaluate(*t.data.target));
   }
   const api::StatusOr<api::EvaluationResult>& result = *evaluated;
@@ -289,11 +253,11 @@ std::optional<api::EvaluationResult> ReconstructAndEvaluate(
 
 /// One timed request on a trained session: the output must equal the
 /// target's threads=1 reference exactly.
-void CheckedRequest(api::Session* session, const Target& t, Tracer* tracer,
-                    const std::string& request, Request* out,
-                    LoopCounts* loop) {
+void CheckedRequest(api::Session* session, const Target& t,
+                    obs::TraceRing* ring, const std::string& request,
+                    Request* out, LoopCounts* loop) {
   std::optional<api::EvaluationResult> result =
-      ReconstructAndEvaluate(session, t, tracer, request, out, loop);
+      ReconstructAndEvaluate(session, t, ring, request, out, loop);
   out->ok = result.has_value() && Same(*result, t.reference);
   if (result.has_value() && !out->ok) {
     std::cerr << "request " << request << ": output differs from the "
@@ -326,22 +290,22 @@ eval::PreparedDataset Prepare(const Target& t, std::vector<double>* times) {
 /// workload's source pair (outside the timed window), in the order
 /// CliqueClassifier::Train makes them internally.
 std::string ProbeTrain(const Target& t, core::CliqueClassifier* classifier,
-                       Tracer* tracer) {
+                       obs::TraceRing* ring) {
   const std::string request = "probe.train." + t.name;
   core::MariohOptions defaults;
-  Scope root(tracer, "probe.train", request);
+  auto root = Span(ring, "probe.train", request);
 
   double t0 = Now();
   MaximalCliqueResult source_cliques;
   {
-    Scope span(tracer, "clique.enumerate_source", request);
+    auto span = Span(ring, "clique.enumerate_source", request);
     source_cliques = EnumerateMaximalCliques(*t.data.g_source);
   }
   double enumerate_s = Now() - t0;
 
   t0 = Now();
   {
-    Scope span(tracer, "classifier.train", request);
+    auto span = Span(ring, "classifier.train", request);
     util::Rng rng(1);  // the Session's default seed, as Marioh::Train uses
     classifier->Train(*t.data.g_source, *t.data.source, &rng);
   }
@@ -352,7 +316,7 @@ std::string ProbeTrain(const Target& t, core::CliqueClassifier* classifier,
   t0 = Now();
   la::Matrix features;
   {
-    Scope span(tracer, "features.extract", request);
+    auto span = Span(ring, "features.extract", request);
     features = classifier->extractor().ExtractAll(
         source_csr, source_cliques.cliques, true, 1);
   }
@@ -362,24 +326,39 @@ std::string ProbeTrain(const Target& t, core::CliqueClassifier* classifier,
 
   // Mlp::Fit on the classifier's training shape (rows = positives +
   // negatives, columns = feature dim, its MlpOptions), filled like its
-  // training matrix: standardized features of source cliques, cycled.
+  // training matrix and standardized the same way: positives are the
+  // source's unique hyperedges, negatives its maximal cliques, cycled
+  // (the classifier also samples sub-cliques and edges). On maximal-clique
+  // rows alone the fit read slower than the whole of Train, so its time
+  // depends on the rows, not only on their number.
   size_t rows = positives + negatives;
   size_t dim = classifier->extractor().dim();
-  ml::StandardScaler scaler;
-  scaler.Fit(features);
-  scaler.Transform(&features);
+  std::vector<NodeSet> hyperedges = t.data.source->UniqueEdges();
+  std::vector<NodeSet> maximal = source_cliques.cliques.ToNodeSets();
+  std::unordered_set<NodeSet, util::VectorHash> maximal_set(maximal.begin(),
+                                                            maximal.end());
   la::Matrix x(rows, dim);
   std::vector<double> y(rows);
   for (size_t i = 0; i < rows; ++i) {
-    const double* row = features.Row(i % features_rows);
-    std::copy(row, row + dim, x.Row(i));
-    y[i] = i < positives ? 1.0 : 0.0;
+    if (i < positives) {
+      const NodeSet& e = hyperedges[i % hyperedges.size()];
+      la::Vector f = classifier->extractor().Extract(
+          *t.data.g_source, e, maximal_set.count(e) > 0);
+      std::copy(f.begin(), f.end(), x.Row(i));
+      y[i] = 1.0;
+    } else {
+      const double* row = features.Row((i - positives) % features_rows);
+      std::copy(row, row + dim, x.Row(i));
+    }
   }
+  ml::StandardScaler scaler;
+  scaler.Fit(x);
+  scaler.Transform(&x);
   const ml::MlpOptions& mlp_options = defaults.classifier.mlp;
   ml::Mlp mlp(dim, 1, mlp_options);
   t0 = Now();
   {
-    Scope span(tracer, "mlp.fit", request);
+    auto span = Span(ring, "mlp.fit", request);
     mlp.Fit(x, y);
   }
   double fit_s = Now() - t0;
@@ -410,18 +389,18 @@ std::string ProbeTrain(const Target& t, core::CliqueClassifier* classifier,
 /// maximal cliques, ScoreAll and one BidirectionalSearch iteration.
 std::string ProbeReconstruct(const Target& t,
                              const core::CliqueClassifier& classifier,
-                             int threads, Tracer* tracer,
+                             int threads, obs::TraceRing* ring,
                              bool extract_features) {
   const std::string request = "probe.reconstruct." + t.name;
   core::MariohOptions defaults;
 
-  Scope root(tracer, "probe.reconstruct", request);
+  auto root = Span(ring, "probe.reconstruct", request);
   ProjectedGraph g = *t.data.g_target;
   Hypergraph h(g.num_nodes());
   double t0 = Now();
   core::FilteringStats fstats;
   {
-    Scope span(tracer, "filtering", request);
+    auto span = Span(ring, "filtering", request);
     CsrGraph pre;
     fstats = core::Filtering(&g, &h, threads, &pre);
   }
@@ -430,7 +409,7 @@ std::string ProbeReconstruct(const Target& t,
   t0 = Now();
   CsrGraph csr;
   {
-    Scope span(tracer, "csr.build", request);
+    auto span = Span(ring, "csr.build", request);
     csr = CsrGraph(g, threads);
   }
   double csr_s = Now() - t0;
@@ -440,14 +419,14 @@ std::string ProbeReconstruct(const Target& t,
   t0 = Now();
   MaximalCliqueResult cliques;
   {
-    Scope span(tracer, "clique.enumerate", request);
+    auto span = Span(ring, "clique.enumerate", request);
     cliques = EnumerateMaximalCliques(csr, copts);
   }
   double enumerate_s = Now() - t0;
 
   t0 = Now();
   {
-    Scope span(tracer, "mlp.score", request);
+    auto span = Span(ring, "mlp.score", request);
     classifier.ScoreAll(csr, cliques.cliques, true, threads);
   }
   double score_s = Now() - t0;
@@ -456,7 +435,7 @@ std::string ProbeReconstruct(const Target& t,
   size_t rows = 0;
   if (extract_features) {
     t0 = Now();
-    Scope span(tracer, "features.extract", request);
+    auto span = Span(ring, "features.extract", request);
     rows = classifier.extractor()
                .ExtractAll(csr, cliques.cliques, true, threads)
                .rows();
@@ -470,7 +449,7 @@ std::string ProbeReconstruct(const Target& t,
   util::Rng rng(defaults.seed ^ 0x9e3779b97f4a7c15ULL);
   t0 = Now();
   {
-    Scope span(tracer, "bidir.iteration", request);
+    auto span = Span(ring, "bidir.iteration", request);
     core::BidirectionalSearch(&g, csr, classifier, bopt, &rng, &h);
   }
   double bidir_s = Now() - t0;
@@ -489,17 +468,15 @@ std::string ProbeReconstruct(const Target& t,
 
 struct Args {
   std::string workload;
-  std::string reference;
   uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
   std::string spans;
-  size_t datasets = 1;
 };
 
 /// Seed of the i-th dataset of a run: every run draws its datasets from
 /// its own --seed, so one seed always gives the same inputs.
-uint64_t DatasetSeed(uint64_t seed, size_t i) { return seed * 16 + i; }
+uint64_t DatasetSeed(uint64_t seed, size_t i) { return seed * 64 + i; }
 
 Target MakeTarget(const std::string& profile, bool reduced, uint64_t seed) {
   Target t;
@@ -514,7 +491,7 @@ Target MakeTarget(const std::string& profile, bool reduced, uint64_t seed) {
 /// `"probe_train":[...],"probe_reconstruct":[...]`. The train-side calls
 /// run only where the window trains.
 std::string ProbeTargets(const std::vector<Target>& targets, int threads,
-                         bool train_side, Tracer* tracer) {
+                         bool train_side, obs::TraceRing* ring) {
   core::MariohOptions defaults;
   std::string train = "[", reconstruct = "[";
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -522,14 +499,14 @@ std::string ProbeTargets(const std::vector<Target>& targets, int threads,
                                       defaults.classifier);
     if (train_side) {
       if (i > 0) train += ",";
-      train += ProbeTrain(targets[i], &classifier, tracer);
+      train += ProbeTrain(targets[i], &classifier, ring);
     } else {
       util::Rng rng(1);
       classifier.Train(*targets[i].data.g_source, *targets[i].data.source,
                        &rng);
     }
     if (i > 0) reconstruct += ",";
-    reconstruct += ProbeReconstruct(targets[i], classifier, threads, tracer,
+    reconstruct += ProbeReconstruct(targets[i], classifier, threads, ring,
                                     /*extract_features=*/!train_side);
   }
   return "\"probe_train\":" + train + "],\"probe_reconstruct\":" +
@@ -544,9 +521,9 @@ std::string ProbeTargets(const std::vector<Target>& targets, int threads,
 int RunWorkload(const Args& args) {
   const bool solo = args.workload == "solo_train";
   const int threads = solo ? 1 : 4;
-  std::unique_ptr<Tracer> tracer_owner;
-  if (args.trace) tracer_owner = std::make_unique<Tracer>();
-  Tracer* tracer = tracer_owner.get();
+  std::unique_ptr<obs::TraceRing> ring_owner;
+  if (args.trace) ring_owner = std::make_unique<obs::TraceRing>(kRingCapacity);
+  obs::TraceRing* ring = ring_owner.get();
 
   // Four datasets per run average out the seed-to-seed spread of the
   // inputs; reconstruct_stream alternates multiplicity settings.
@@ -560,7 +537,7 @@ int RunWorkload(const Args& args) {
   // Set-up, repeated: every repetition prepares the datasets and (on
   // reconstruct_stream) trains the Sessions. The first repetition's
   // Sessions run threads=1 and give the reference results.
-  const int setup_reps = solo ? 9 : 2;
+  const int setup_reps = solo ? 15 : 2;
   std::vector<double> setup_s, prepare_s;
   for (int rep = 0; rep < setup_reps; ++rep) {
     double t0 = Now();
@@ -587,7 +564,7 @@ int RunWorkload(const Args& args) {
   LoopCounts cycle;  // loop counters of the first request on each target
   double window_start = Now();
   double deadline = window_start + args.seconds;
-  uint64_t window_span = tracer ? tracer->Open("window", "window") : 0;
+  std::optional<obs::TraceSpan> window = Span(ring, "window", "window");
   for (size_t i = 0; Now() < deadline; ++i) {
     Target& t = targets[i % targets.size()];
     std::string id = "r" + std::to_string(i + 1);
@@ -596,14 +573,14 @@ int RunWorkload(const Args& args) {
     LoopCounts loop;
     double t0 = Now();
     {
-      Scope span(tracer, "request", id);
+      auto span = Span(ring, "request", id);
       if (solo) {
         std::unique_ptr<api::Session> session =
-            TrainSession(t, threads, tracer, id);
+            TrainSession(t, threads, ring, id);
         r.train = session->stage_timer().Get("train");
-        CheckedRequest(session.get(), t, tracer, id, &r, &loop);
+        CheckedRequest(session.get(), t, ring, id, &r, &loop);
       } else {
-        CheckedRequest(t.session.get(), t, tracer, id, &r, &loop);
+        CheckedRequest(t.session.get(), t, ring, id, &r, &loop);
       }
     }
     r.latency = Now() - t0;
@@ -612,7 +589,7 @@ int RunWorkload(const Args& args) {
     }
     requests.push_back(r);
   }
-  if (tracer) tracer->Close(window_span);
+  window.reset();
   double window_s = Now() - window_start;
   double peak_rss = PeakRssMb();
 
@@ -633,32 +610,37 @@ int RunWorkload(const Args& args) {
   }
   json << "],\"cycle\":" << CountsJson(cycle);
   // Outside the window: standalone layer probes (traced runs only).
-  if (tracer) {
-    json << "," << ProbeTargets(targets, threads, solo, tracer)
-         << ",\"span_cost_s\":" << Num(Tracer::CostPerSpan());
-    tracer->Write(args.spans);
+  if (ring) {
+    json << "," << ProbeTargets(targets, threads, solo, ring)
+         << ",\"span_cost_s\":" << Num(CostPerSpan());
+    WriteSpans(*ring, args.spans);
   }
   json << "}";
   std::cout << json.str() << std::endl;
   return 0;
 }
 
-/// The served_mix oracle: for each of --datasets K datasets of PROFILE,
-/// the threads=1 Session result on what `gen <name> PROFILE <seed>`
+/// The served_mix oracle: for each of the `enron` datasets the daemon
+/// serves, the threads=1 Session result on what `gen <name> enron <seed>`
 /// prepares (default request seed), formatted like the daemon's `wait`
 /// reply, plus the cycle's stage times and loop counters. With --trace 1
 /// it also makes the standalone layer calls on the same inputs.
-int RunReference(const Args& args) {
-  std::unique_ptr<Tracer> tracer_owner;
-  if (args.trace) tracer_owner = std::make_unique<Tracer>();
-  Tracer* tracer = tracer_owner.get();
+int RunServedReference(const Args& args) {
+  // Homogeneous jobs keep the percentiles steady; 32 datasets average out
+  // the cost differences between the enron graphs a seed draws, and a
+  // reference costs about 0.2 s.
+  constexpr const char* kProfile = "enron";
+  constexpr size_t kDatasets = 32;
+  std::unique_ptr<obs::TraceRing> ring_owner;
+  if (args.trace) ring_owner = std::make_unique<obs::TraceRing>(kRingCapacity);
+  obs::TraceRing* ring = ring_owner.get();
   std::vector<Target> targets;
   std::vector<double> prepare_s;
   std::string replies = "[", seeds = "[";
   double train = 0.0, reconstruct = 0.0, evaluate = 0.0, cpu = 0.0;
   LoopCounts cycle;
-  for (size_t i = 0; i < args.datasets; ++i) {
-    Target t = MakeTarget(args.reference, true, DatasetSeed(args.seed, i));
+  for (size_t i = 0; i < kDatasets; ++i) {
+    Target t = MakeTarget(kProfile, true, DatasetSeed(args.seed, i));
     t.data = Prepare(t, &prepare_s);
     std::unique_ptr<api::Session> session = TrainSession(t, 1, nullptr, "");
     Request r;
@@ -681,16 +663,17 @@ int RunReference(const Args& args) {
     targets.push_back(std::move(t));
   }
   std::ostringstream json;
-  json << "{\"replies\":" << replies << "],\"seeds\":" << seeds << "]"
+  json << "{\"profile\":\"" << kProfile << "\",\"replies\":" << replies
+       << "],\"seeds\":" << seeds << "]"
        << ",\"prepare_s\":" << NumList(prepare_s)
        << ",\"train\":" << Num(train)
        << ",\"reconstruct\":" << Num(reconstruct)
        << ",\"evaluate\":" << Num(evaluate)
        << ",\"reconstruct_cpu\":" << Num(cpu)
        << ",\"cycle\":" << CountsJson(cycle);
-  if (tracer) {
-    json << "," << ProbeTargets(targets, 1, true, tracer);
-    tracer->Write(args.spans);
+  if (ring) {
+    json << "," << ProbeTargets(targets, 1, true, ring);
+    WriteSpans(*ring, args.spans);
   }
   json << "}";
   std::cout << json.str() << std::endl;
@@ -705,16 +688,12 @@ int main(int argc, char** argv) {
     std::string key = argv[i], value = argv[i + 1];
     if (key == "--workload") {
       args.workload = value;
-    } else if (key == "--reference") {
-      args.reference = value;
     } else if (key == "--seed") {
       args.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "--seconds") {
       args.seconds = std::strtod(value.c_str(), nullptr);
     } else if (key == "--trace") {
       args.trace = value == "1";
-    } else if (key == "--datasets") {
-      args.datasets = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "--spans") {
       args.spans = value;
     } else {
@@ -726,11 +705,11 @@ int main(int argc, char** argv) {
     std::cerr << "perfbench_driver: --trace 1 needs --spans PATH\n";
     return 2;
   }
-  if (!args.reference.empty()) return RunReference(args);
+  if (args.workload == "served_reference") return RunServedReference(args);
   if (args.workload != "solo_train" &&
       args.workload != "reconstruct_stream") {
     std::cerr << "perfbench_driver: --workload solo_train|"
-                 "reconstruct_stream or --reference PROFILE\n";
+                 "reconstruct_stream|served_reference\n";
     return 2;
   }
   return RunWorkload(args);

@@ -86,12 +86,15 @@ PER_LAYER = (
     ("trace.overhead_pct", "%"),
 )
 
-# served_mix: the daemon's shape and the load generator's.
-SERVED_PROFILE = "enron"
+# served_mix: the daemon's shape and the load generator's. The datasets
+# (profile and count) are the driver's served_reference choice.
 SERVED_WORKERS = 2
 SERVED_CONNECTIONS = 4
-SERVED_DATASETS = 8
-SETUP_REPS_SERVED = 7
+SETUP_REPS_SERVED = 15
+
+# Seconds a driver run may take beyond the window: repeated set-ups,
+# references and, in traced runs, the standalone layer calls.
+DRIVER_MARGIN_S = 150
 
 
 def log(*parts):
@@ -165,11 +168,18 @@ def read_loadavg():
 
 # ------------------------------------------------------------ in-process
 
-def run_driver(build_dir, argv):
-    """Runs perfbench_driver and returns its last stdout line as JSON."""
+def run_driver(build_dir, argv, seconds):
+    """Runs perfbench_driver and returns its last stdout line as JSON.
+    Exits 2 (printing no result) when it outlasts its time budget."""
     exe = os.path.join(build_dir, "perfbench_driver")
-    done = subprocess.run([exe] + argv, stdout=subprocess.PIPE,
-                          stderr=sys.stderr, text=True, timeout=170)
+    try:
+        done = subprocess.run([exe] + argv, stdout=subprocess.PIPE,
+                              stderr=sys.stderr, text=True,
+                              timeout=seconds + DRIVER_MARGIN_S)
+    except subprocess.TimeoutExpired:
+        log("perfbench: perfbench_driver %s took over %d s"
+            % (" ".join(argv), seconds + DRIVER_MARGIN_S))
+        sys.exit(2)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError("perfbench_driver %s exited %d"
@@ -248,18 +258,20 @@ def run_in_process(build_dir, args, spans_path):
             "--seconds", str(args.seconds), "--trace", str(args.trace)]
     if args.trace:
         argv += ["--spans", spans_path]
-    raw = run_driver(build_dir, argv)
+    raw = run_driver(build_dir, argv, args.seconds)
     requests = raw["requests"]
-    latencies = [r["latency"] for r in requests]
     targets = sorted({r["target"] for r in requests})
     failed = sum(1 for r in requests if not r["ok"])
+    p50, p90, pooled = benchlib.latency_percentiles(
+        {t: [r["latency"] for r in requests if r["target"] == t]
+         for t in targets})
     result = {"attempted": len(requests), "failed": failed,
-              "latencies": latencies, "notes": []}
+              "pooled": pooled, "notes": []}
     scores = [statistics.median([r["score"] for r in requests
                                if r["target"] == t]) for t in targets]
     result["e2e"] = {
-        "req_p50_s": benchlib.percentile(latencies, 50),
-        "req_p90_s": benchlib.percentile(latencies, 90),
+        "req_p50_s": p50,
+        "req_p90_s": p90,
         "req_per_s": len(requests) / raw["window_s"],
         "setup_s": statistics.median(raw["setup_s"]),
         "peak_rss_mb": raw["peak_rss_mb"],
@@ -465,12 +477,12 @@ def load_generator(port, deadline, references, spans, index, out):
             spans.add("service.submit", request, t0, t1, root)
             spans.add("service.wait", request, t1, t2, root)
             out.append({"latency": t2 - t0, "submit_rtt": t1 - t0, "ok": ok,
-                        "dataset": dataset,
+                        "dataset": dataset, "end": t2,
                         "jaccard": float(reply.get("jaccard", "nan"))})
     except (OSError, RuntimeError, ValueError) as e:
         log("served_mix: connection %d: %s" % (index, e))
         out.append({"latency": None, "submit_rtt": None, "ok": False,
-                    "dataset": None, "jaccard": None})
+                    "dataset": None, "end": None, "jaccard": None})
     finally:
         if client is not None:
             client.close()
@@ -479,11 +491,12 @@ def load_generator(port, deadline, references, spans, index, out):
 def run_served(build_dir, args, spans_path):
     workroot = os.path.join(build_dir, "served-%d" % os.getpid())
     shutil.rmtree(workroot, ignore_errors=True)
-    ref_argv = ["--reference", SERVED_PROFILE, "--seed", str(args.seed),
-                "--datasets", str(SERVED_DATASETS), "--trace", str(args.trace)]
+    ref_argv = ["--workload", "served_reference", "--seed", str(args.seed),
+                "--trace", str(args.trace)]
     if args.trace:
         ref_argv += ["--spans", spans_path]
-    ref = run_driver(build_dir, ref_argv)
+    ref = run_driver(build_dir, ref_argv, 0)
+    datasets = len(ref["seeds"])
 
     # Set-up, repeated: start a daemon and `gen` the dataset into it. The
     # last repetition's daemon serves the window.
@@ -500,7 +513,7 @@ def run_served(build_dir, args, spans_path):
             t1 = time.monotonic()
             for i, seed in enumerate(ref["seeds"]):
                 reply = control.call("gen d%d %s %d"
-                                     % (i, SERVED_PROFILE, seed))
+                                     % (i, ref["profile"], seed))
                 if not reply.startswith("ok generated"):
                     raise RuntimeError("gen failed: %s" % reply)
             t2 = time.monotonic()
@@ -531,22 +544,27 @@ def run_served(build_dir, args, spans_path):
         exit_code = daemon.stop() if daemon is not None else 0
         shutil.rmtree(workroot, ignore_errors=True)
 
-    jobs = [s for per in samples for s in per]
+    jobs = sorted((s for per in samples for s in per),
+                  key=lambda j: j["end"] or 0.0)
     latencies = [j["latency"] for j in jobs if j["latency"] is not None]
     failed = sum(1 for j in jobs if not j["ok"])
+    served = sorted({j["dataset"] for j in jobs if j["latency"] is not None})
+    p50, p90, pooled = benchlib.latency_percentiles(
+        {d: [j["latency"] for j in jobs if j["dataset"] == d]
+         for d in served})
     result = {"attempted": len(jobs), "failed": failed,
-              "latencies": latencies, "notes": []}
+              "pooled": pooled, "notes": []}
     problems = benchlib.scrape_violations(scrape)
     if exit_code != 0:
         problems.append("marioh_served exited %d on SIGTERM" % exit_code)
     result["problems"] = problems
     per_dataset = [[j["jaccard"] for j in jobs
                     if j["ok"] and j["dataset"] == d]
-                   for d in range(SERVED_DATASETS)]
+                   for d in range(datasets)]
     good = [sum(v) / len(v) for v in per_dataset if v]
     result["e2e"] = {
-        "req_p50_s": benchlib.percentile(latencies, 50),
-        "req_p90_s": benchlib.percentile(latencies, 90),
+        "req_p50_s": p50,
+        "req_p90_s": p90,
         "req_per_s": len(jobs) / window_s,
         "setup_s": statistics.median(setup_s),
         "peak_rss_mb": peak_rss,
@@ -558,7 +576,7 @@ def run_served(build_dir, args, spans_path):
     c = scrape["counters"]
     done = c.get("marioh_jobs_done_total", 0)
     layers = dict.fromkeys((name for name, _ in PER_LAYER), 0.0)
-    n = SERVED_DATASETS
+    n = datasets
     layers.update(train_layers(ref["probe_train"]))
     layers.update(loop_layers(ref["cycle"], ref["probe_reconstruct"], n))
     layers["session.train_s"] = ref["train"] / n
@@ -592,9 +610,10 @@ def run_served(build_dir, args, spans_path):
                                     * SpanLog.cost_per_span() / window_s)
     result["notes"].append("layers below Session are measured by standalone "
                            "calls on the same %s inputs, threads=1"
-                           % SERVED_PROFILE)
+                           % ref["profile"])
     result["layers"] = layers
-    # The driver's span ids and the load generator's both start at 1.
+    # The load generator numbers its spans from 1: move them past the
+    # driver's.
     driver_spans = read_spans(spans_path)
     offset = max((sp["id"] for sp in driver_spans), default=0)
     for sp in spans.spans:
@@ -658,7 +677,7 @@ def main():
     if context["build_type"] != "Release":
         print("WARNING: build type is %r, not Release; timings are not "
               "comparable" % context["build_type"])
-    n = len(result["latencies"])
+    n = result["pooled"]
     tail = benchlib.tail_percentile(n)
     print("workload %s seed %d: %d requests, %d failed, error_rate %.4f; "
           "highest percentile with >=10 samples beyond it: %s"
