@@ -558,6 +558,14 @@ def run_served(build_dir, args, spans_path):
     if exit_code != 0:
         problems.append("marioh_served exited %d on SIGTERM" % exit_code)
     result["problems"] = problems
+    # Printed on every run: a disk shared with other tenants shows here
+    # first, since each job fsyncs its journal records.
+    fsync = scrape["histograms"].get("marioh_journal_fsync_seconds")
+    if fsync and fsync["count"]:
+        result["notes"].append(
+            "journal fsync mean %.2f ms, max %.2f ms over %d fsyncs"
+            % (1e3 * fsync["sum"] / fsync["count"], 1e3 * fsync["max"],
+               fsync["count"]))
     per_dataset = [[j["jaccard"] for j in jobs
                     if j["ok"] and j["dataset"] == d]
                    for d in range(datasets)]
