@@ -33,7 +33,6 @@
 //                                   running one mid-kernel
 //   forget <id>                     retire a finished job (frees its
 //                                   result; keeps memory bounded)
-//   stats                           service counters (one key=value line)
 //   metrics [json]                  full observability snapshot from the
 //                                   metric registry: Prometheus text
 //                                   framed as `ok metrics lines=N` + N
@@ -47,8 +46,6 @@
 // Errors never kill the loop: a bad request gets one `error CODE: message`
 // line and the server keeps reading. Unknown datasets, unknown methods,
 // malformed files, bad overrides all arrive as api::Status values.
-
-#include <sys/stat.h>
 
 #include <iostream>
 #include <memory>
@@ -91,33 +88,14 @@ int main(int argc, char** argv) {
   }
 
   auto cache = std::make_shared<DatasetCache>();
-  if (!options.journal_dir.empty()) {
-    // Datasets before jobs: recovered requests must resolve their
-    // handles (see marioh_served for the same sequence). The directory
-    // must exist before the manifest writes into it.
-    ::mkdir(options.journal_dir.c_str(), 0755);
-    std::string manifest = options.journal_dir + "/datasets.manifest";
-    marioh::api::Status restored = cache->RestoreFromManifest(
-        manifest, [&cache](const std::string& basename,
-                           const std::string& profile, uint64_t seed) {
-          return marioh::net::GenerateDataset(cache.get(), basename,
-                                              profile, seed);
-        });
-    if (!restored.ok()) {
-      std::cerr << "warning: " << restored.message() << "\n";
-    }
-    marioh::api::Status manifest_on = cache->EnableManifest(manifest);
-    if (!manifest_on.ok()) {
-      std::cerr << "error: " << manifest_on.message() << "\n";
-      return 1;
-    }
-  }
-  Service service(cache, options);
-  if (!service.startup_status().ok()) {
-    std::cerr << "error: " << service.startup_status().message() << "\n";
+  marioh::api::StatusOr<std::unique_ptr<Service>> service_or =
+      marioh::net::StartService(cache, options, std::cerr);
+  if (!service_or.ok()) {
+    std::cerr << "error: " << service_or.status().message() << "\n";
     return 1;
   }
-  marioh::net::LineProtocol protocol(cache.get(), &service);
+  std::unique_ptr<Service> service = *std::move(service_or);
+  marioh::net::LineProtocol protocol(cache.get(), service.get());
   // stdin is a local, single-operator surface: whoever can type here can
   // also set MARIOH_FAILPOINTS, so gating the admin verb would add
   // ceremony without adding safety (unlike the TCP server, where it is
@@ -136,7 +114,7 @@ int main(int argc, char** argv) {
       // The protocol defers `wait`; a single-client stdin loop can
       // simply block in the service until the job is terminal.
       marioh::api::StatusOr<marioh::api::JobSnapshot> job =
-          service.Wait(*result.wait_for);
+          service->Wait(*result.wait_for);
       std::cout << (job.ok()
                         ? protocol.FormatJob(*job)
                         : marioh::net::LineProtocol::FormatError(

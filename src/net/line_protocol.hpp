@@ -14,27 +14,16 @@
 
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "api/dataset_cache.hpp"
 #include "api/service.hpp"
 #include "api/status.hpp"
 
 namespace marioh::net {
-
-/// The legacy `stats` fields (`accepted=`, `queued=`, ...,
-/// `lines_served=`) rendered from one `obs::MetricRegistry::Global()`
-/// collection, in the order the `stats` verb has always printed them.
-/// Optional groups keep their old conditionality: cancel-latency fields
-/// appear once a cancel was sampled, `journal_*` once a journal
-/// published, `connections_*`/`lines_served` once a TCP server did.
-/// Shared by the `stats` verb and `marioh_served --stats-json`, so the
-/// two surfaces (and the `metrics` endpoint they are derived from)
-/// cannot drift.
-std::vector<std::pair<std::string, std::string>> LegacyStatsFields();
 
 /// Prepares the dataset triple `<basename>.train/.target/.truth` from
 /// evaluation-harness generator `profile` under `seed` and inserts it
@@ -46,6 +35,20 @@ std::vector<std::pair<std::string, std::string>> LegacyStatsFields();
 api::Status GenerateDataset(api::DatasetCache* cache,
                             const std::string& basename,
                             const std::string& profile, uint64_t seed);
+
+/// The startup sequence both front ends share. With a
+/// `options.journal_dir` it makes the directory, restores the datasets
+/// its `datasets.manifest` records (through GenerateDataset), and turns
+/// the manifest on — all *before* the Service replays the journal, or
+/// re-admitted jobs would not resolve their handles. A partially failed
+/// restore is a `warning: ...` line on `warnings`, not a refusal: the
+/// affected jobs fail with a precise status, everything else recovers.
+/// A manifest that cannot be enabled, or a journal the Service cannot
+/// open or replay, is an error — the durability the operator asked for
+/// is not there, so the front end must refuse to serve.
+api::StatusOr<std::unique_ptr<api::Service>> StartService(
+    const std::shared_ptr<api::DatasetCache>& cache,
+    const api::ServiceOptions& options, std::ostream& warnings);
 
 class LineProtocol {
  public:
@@ -89,10 +92,6 @@ class LineProtocol {
 
   /// "error CODE: message".
   static std::string FormatError(const api::Status& status);
-
-  /// The `stats` response: the legacy key=value line, rendered from the
-  /// metric registry (see LegacyStatsFields).
-  std::string FormatStats() const;
 
   /// The `metrics` response: `ok metrics lines=N\n` followed by exactly
   /// N lines of Prometheus text exposition from the global registry —

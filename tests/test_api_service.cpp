@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include "api/session.hpp"
 #include "eval/harness.hpp"
 #include "io/text_io.hpp"
+#include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
 
 namespace marioh::api {
@@ -429,14 +431,26 @@ TEST(Service, FairSharePriorityOrderingOnOneWorker) {
   EXPECT_EQ(jobs[5].priority, Priority::kInteractive);
 }
 
+/// The process-wide cancel-latency histogram every Service observes into.
+/// It is cumulative across this binary, so tests assert before/after
+/// deltas.
+const obs::Histogram& CancelLatencyHistogram() {
+  return *obs::MetricRegistry::Global().GetHistogram(
+      "marioh_cancel_latency_seconds");
+}
+
 // Cancelling a running job preempts it mid-kernel: the job ends
 // kCancelled with a measured cancel-to-stop latency, and the service
-// accounts it under preempted + the latency counters.
+// accounts it under preempted + one cancel-latency histogram sample.
 TEST(Service, CancelRunningJobMeasuresPreemptionLatency) {
   eval::PreparedDataset data = SmallDataset();
   ServiceOptions options;
   options.num_workers = 1;
   Service service(CacheWithCrime(data), options);
+  const obs::Histogram& latency = CancelLatencyHistogram();
+  const uint64_t count_before = latency.count();
+  const double sum_before = latency.sum();
+  const double max_before = latency.max();
 
   ReconstructRequest request;
   request.method = "MARIOH";
@@ -464,9 +478,9 @@ TEST(Service, CancelRunningJobMeasuresPreemptionLatency) {
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.preempted, 1u);
-  EXPECT_EQ(stats.cancel_latency_count, 1u);
-  EXPECT_EQ(stats.cancel_latency_total_seconds, job->cancel_latency_seconds);
-  EXPECT_EQ(stats.cancel_latency_max_seconds, job->cancel_latency_seconds);
+  EXPECT_EQ(latency.count(), count_before + 1);
+  EXPECT_EQ(latency.sum(), sum_before + job->cancel_latency_seconds);
+  EXPECT_EQ(latency.max(), std::max(max_before, job->cancel_latency_seconds));
 }
 
 // A hard deadline aborts the job with the dedicated terminal state —
@@ -474,6 +488,9 @@ TEST(Service, CancelRunningJobMeasuresPreemptionLatency) {
 TEST(Service, HardDeadlineEndsJobsAsDeadlineExceeded) {
   eval::PreparedDataset data = SmallDataset();
   Service service(CacheWithCrime(data));
+  const obs::Histogram& latency = CancelLatencyHistogram();
+  const uint64_t count_before = latency.count();
+  const double sum_before = latency.sum();
 
   ReconstructRequest request;
   request.method = "MARIOH";
@@ -496,7 +513,8 @@ TEST(Service, HardDeadlineEndsJobsAsDeadlineExceeded) {
   EXPECT_EQ(stats.preempted, 1u);
   EXPECT_EQ(stats.cancelled, 0u);
   EXPECT_EQ(stats.budget_overruns, 0u);
-  EXPECT_EQ(stats.cancel_latency_count, 0u);
+  EXPECT_EQ(latency.count(), count_before);
+  EXPECT_EQ(latency.sum(), sum_before);
 
   // Cancelling the already-aborted job is a precise FailedPrecondition.
   EXPECT_EQ(service.Cancel(*id).code(), StatusCode::kFailedPrecondition);

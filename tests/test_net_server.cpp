@@ -341,12 +341,13 @@ TEST(NetServer, SlowReaderIsDisconnectedByBackpressure) {
   // hold the rest.
   Client slow(fixture.port(), /*rcvbuf_bytes=*/4096);
   ASSERT_TRUE(slow.connected());
-  // Never read: each `stats` response (~350 bytes) stacks up. Once the
-  // socket buffers are full, the server-side buffer crosses the 16 KiB
-  // cap and the connection is dropped mid-stream — visible here as a
-  // failed send (RST) or the active-connection gauge hitting zero.
+  // Never read: each `methods` response (one line listing every
+  // registered method) stacks up. Once the socket buffers are full, the
+  // server-side buffer crosses the 16 KiB cap and the connection is
+  // dropped mid-stream — visible here as a failed send (RST) or the
+  // active-connection gauge hitting zero.
   std::string burst;
-  for (int i = 0; i < 2000; ++i) burst += "stats\n";
+  for (int i = 0; i < 2000; ++i) burst += "methods\n";
   bool disconnected = false;
   for (int round = 0; round < 20 && !disconnected; ++round) {
     if (!slow.SendRaw(burst)) {
@@ -365,7 +366,8 @@ TEST(NetServer, SlowReaderIsDisconnectedByBackpressure) {
   Client polite(fixture.port());
   ASSERT_TRUE(polite.connected());
   EXPECT_EQ(polite.ReadLine().rfind("ok marioh_served", 0), 0u);
-  EXPECT_EQ(polite.Roundtrip("stats").rfind("ok stats", 0), 0u);
+  EXPECT_EQ(polite.Roundtrip("metrics json").rfind("ok metrics-json {", 0),
+            0u);
 }
 
 // Framing abuse — unknown verbs, binary junk, and a line far beyond
@@ -387,6 +389,10 @@ TEST(NetServer, MalformedAndOversizedFramesDontKillTheLoop) {
             0u);
   EXPECT_EQ(client.Roundtrip(std::string("\x01\x02\x7f garbage"))
                 .rfind("error INVALID_ARGUMENT", 0),
+            0u);
+  // `stats` is not a verb: `metrics` is the one telemetry surface.
+  EXPECT_EQ(client.Roundtrip("stats").rfind(
+                "error INVALID_ARGUMENT: unknown request 'stats' ", 0),
             0u);
 
   // One 64 KiB line: rejected as soon as it exceeds the 128-byte frame
@@ -476,9 +482,8 @@ TEST(NetServer, EventLoopSurvivesEintrDuringRun) {
 // Prometheus text in which the accepted counter equals the sum of the
 // terminal counters plus the queued/running gauges — exactly, because
 // the Service publishes one mutex-coherent snapshot per collection. Also
-// covers the framing (`ok metrics lines=N` + N raw lines), the
-// single-line `metrics json` variant, and the `stats` verb still serving
-// the legacy key order from the same registry.
+// covers the framing (`ok metrics lines=N` + N raw lines) and the
+// single-line `metrics json` variant.
 TEST(NetServer, MetricsVerbExposesAnExactCounterPartition) {
   eval::PreparedDataset data = SmallDataset();
   ServerFixture fixture(data, ServiceOptions{}, TcpServerOptions{});
@@ -494,13 +499,6 @@ TEST(NetServer, MetricsVerbExposesAnExactCounterPartition) {
                   .find("state=DONE"),
               std::string::npos);
   }
-
-  // The stats verb renders its legacy line from the registry — key order
-  // unchanged, values from this fixture's Service.
-  std::string stats = client.Roundtrip("stats");
-  EXPECT_EQ(stats.rfind("ok stats accepted=2 queued=0 running=0 done=2", 0),
-            0u)
-      << stats;
 
   std::string header = client.Roundtrip("metrics");
   ASSERT_EQ(header.rfind("ok metrics lines=", 0), 0u) << header;

@@ -1,5 +1,5 @@
 // Smoke test for the marioh_serve front end: drives the line protocol
-// end-to-end over a pipe — load → submit → wait → stats → quit must exit
+// end-to-end over a pipe — load → submit → wait → metrics → quit must exit
 // 0 with the expected `ok ...` responses, and bad requests must produce
 // `error ...` lines without killing the serving loop. Mirrors the
 // test_examples_smoke CLI contract: never an abort.
@@ -50,7 +50,7 @@ int RunServe(const std::string& script, std::string* output) {
 
 TEST(ServeSmoke, LoadSubmitWaitStatsQuitEndToEnd) {
   // Real files on disk, loaded through the `load` verb — the acceptance
-  // path: load → submit → wait → stats → quit.
+  // path: load → submit → wait → metrics → quit.
   eval::PreparedDataset data =
       eval::PrepareDataset("crime", /*multiplicity_reduced=*/true,
                            /*seed=*/1);
@@ -67,7 +67,7 @@ TEST(ServeSmoke, LoadSubmitWaitStatsQuitEndToEnd) {
           "datasets\n"
           "submit method=MARIOH train=train target=target seed=7\n"
           "wait 1\n"
-          "stats\n"
+          "metrics\n"
           "quit\n",
       &output);
   EXPECT_EQ(exit_code, 0) << output;
@@ -79,9 +79,11 @@ TEST(ServeSmoke, LoadSubmitWaitStatsQuitEndToEnd) {
   EXPECT_NE(output.find("ok job 1"), std::string::npos) << output;
   EXPECT_NE(output.find("state=DONE"), std::string::npos) << output;
   EXPECT_NE(output.find("unique_edges="), std::string::npos) << output;
-  EXPECT_NE(output.find("ok stats accepted=1"), std::string::npos)
+  EXPECT_NE(output.find("\nmarioh_jobs_accepted_total 1\n"),
+            std::string::npos)
       << output;
-  EXPECT_NE(output.find("done=1"), std::string::npos) << output;
+  EXPECT_NE(output.find("\nmarioh_jobs_done_total 1\n"), std::string::npos)
+      << output;
   EXPECT_NE(output.find("ok bye"), std::string::npos) << output;
   EXPECT_EQ(output.find("error"), std::string::npos) << output;
 
@@ -100,7 +102,7 @@ TEST(ServeSmoke, GeneratedDatasetsEvaluateInProcess) {
       "submit method=MaxClique target=d.target truth=d.truth seed=2\n"
       "wait 1\n"
       "wait 2\n"
-      "stats\n"
+      "metrics\n"
       "quit\n",
       &output);
   EXPECT_EQ(exit_code, 0) << output;
@@ -108,9 +110,11 @@ TEST(ServeSmoke, GeneratedDatasetsEvaluateInProcess) {
             std::string::npos)
       << output;
   EXPECT_NE(output.find("jaccard="), std::string::npos) << output;
-  EXPECT_NE(output.find("ok stats accepted=2"), std::string::npos)
+  EXPECT_NE(output.find("\nmarioh_jobs_accepted_total 2\n"),
+            std::string::npos)
       << output;
-  EXPECT_NE(output.find("done=2"), std::string::npos) << output;
+  EXPECT_NE(output.find("\nmarioh_jobs_done_total 2\n"), std::string::npos)
+      << output;
   EXPECT_EQ(output.find("error"), std::string::npos) << output;
 }
 
@@ -125,6 +129,7 @@ TEST(ServeSmoke, BadRequestsAreErrorsNotCrashes) {
       "cancel 42\n"
       "wait notanumber\n"
       "stats\n"
+      "metrics\n"
       "quit\n",
       &output);
   // Every request failed, yet the loop served all of them and exited 0.
@@ -140,7 +145,11 @@ TEST(ServeSmoke, BadRequestsAreErrorsNotCrashes) {
   EXPECT_NE(output.find("no job with id 42"), std::string::npos) << output;
   EXPECT_NE(output.find("usage: wait <job-id>"), std::string::npos)
       << output;
-  EXPECT_NE(output.find("ok stats accepted=0"), std::string::npos)
+  EXPECT_NE(output.find("error INVALID_ARGUMENT: unknown request 'stats'"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("\nmarioh_jobs_accepted_total 0\n"),
+            std::string::npos)
       << output;
   EXPECT_NE(output.find("ok bye"), std::string::npos) << output;
 }

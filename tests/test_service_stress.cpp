@@ -10,8 +10,9 @@
 // happens under one mutex, so the books must balance in every snapshot,
 // not just at quiescence). The suite runs under TSan in CI, where it
 // doubles as the data-race battery for the CancelToken plumbing; it also
-// writes the measured cancel-to-stop latencies to cancel_latency.json,
-// which CI uploads next to bench_micro.json.
+// writes the cancel-to-stop latencies the `marioh_cancel_latency_seconds`
+// histogram recorded to cancel_latency.json, which CI uploads next to
+// bench_micro.json.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "api/request.hpp"
 #include "api/service.hpp"
 #include "eval/harness.hpp"
+#include "obs/metrics.hpp"
 
 namespace marioh::api {
 namespace {
@@ -35,18 +37,52 @@ namespace {
 constexpr int kProducers = 4;
 constexpr int kJobsPerProducer = 12;
 
-void CheckInvariant(const ServiceStats& stats) {
+/// The service counters plus the cancel-latency samples the service added
+/// to the process-wide `marioh_cancel_latency_seconds` histogram since
+/// the test began, read as one coherent snapshot.
+struct Snapshot {
+  ServiceStats stats;
+  uint64_t latency_count = 0;
+  double latency_sum = 0.0;
+  double latency_max = 0.0;
+};
+
+const obs::Histogram& CancelLatencyHistogram() {
+  return *obs::MetricRegistry::Global().GetHistogram(
+      "marioh_cancel_latency_seconds");
+}
+
+/// The Service observes a latency sample inside the same critical section
+/// that bumps `preempted`. A histogram read bracketed by two stats()
+/// calls that agree on `preempted` therefore sees every sample either
+/// whole or not at all — never a count without its sum or max.
+Snapshot TakeSnapshot(Service& service, uint64_t base_count,
+                      double base_sum) {
+  const obs::Histogram& latency = CancelLatencyHistogram();
+  for (;;) {
+    ServiceStats before = service.stats();
+    Snapshot snapshot;
+    snapshot.latency_count = latency.count() - base_count;
+    snapshot.latency_sum = latency.sum() - base_sum;
+    snapshot.latency_max = latency.max();
+    snapshot.stats = service.stats();
+    if (snapshot.stats.preempted == before.preempted) return snapshot;
+  }
+}
+
+void CheckInvariant(const Snapshot& snapshot) {
+  const ServiceStats& stats = snapshot.stats;
   EXPECT_EQ(stats.accepted, stats.done + stats.failed + stats.cancelled +
                                 stats.deadline_exceeded + stats.queued +
                                 stats.running);
   EXPECT_EQ(stats.queued, stats.queued_interactive + stats.queued_normal +
                               stats.queued_batch);
   EXPECT_LE(stats.preempted, stats.cancelled + stats.deadline_exceeded);
-  EXPECT_LE(stats.cancel_latency_count, stats.cancelled);
+  EXPECT_LE(snapshot.latency_count, stats.cancelled);
   EXPECT_LE(stats.budget_overruns, stats.done);
-  EXPECT_LE(stats.cancel_latency_total_seconds,
-            stats.cancel_latency_max_seconds *
-                    static_cast<double>(stats.cancel_latency_count) +
+  EXPECT_LE(snapshot.latency_sum,
+            snapshot.latency_max *
+                    static_cast<double>(snapshot.latency_count) +
                 1e-9);
 }
 
@@ -61,6 +97,8 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
   ServiceOptions options;
   options.num_workers = 2;
   Service service(cache, options);
+  const uint64_t base_count = CancelLatencyHistogram().count();
+  const double base_sum = CancelLatencyHistogram().sum();
 
   std::atomic<bool> producing{true};
   std::vector<std::thread> producers;
@@ -115,9 +153,9 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
 
   // The sampler hammers stats() while producers and workers run: the
   // invariant must hold in every mid-flight snapshot.
-  std::thread sampler([&service, &producing] {
+  std::thread sampler([&service, &producing, base_count, base_sum] {
     while (producing.load()) {
-      CheckInvariant(service.stats());
+      CheckInvariant(TakeSnapshot(service, base_count, base_sum));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -138,8 +176,9 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
     }
   }
 
-  ServiceStats stats = service.stats();
-  CheckInvariant(stats);
+  Snapshot snapshot = TakeSnapshot(service, base_count, base_sum);
+  CheckInvariant(snapshot);
+  const ServiceStats& stats = snapshot.stats;
   EXPECT_EQ(stats.accepted,
             static_cast<uint64_t>(kProducers * kJobsPerProducer));
   EXPECT_EQ(stats.queued, 0u);
@@ -150,21 +189,19 @@ TEST(ServiceStress, CountersReconcileUnderConcurrentSubmitAndCancel) {
   EXPECT_GT(stats.done, 0u);
   EXPECT_EQ(stats.failed, 0u);
 
-  // Publish the measured cancel latencies for the CI artifact (empty
-  // stats are valid: every Cancel may have caught its job queued).
+  // Publish the measured cancel latencies for the CI artifact (an empty
+  // histogram is valid: every Cancel may have caught its job queued).
   std::ofstream out("cancel_latency.json");
   ASSERT_TRUE(out.good());
-  double mean =
-      stats.cancel_latency_count == 0
-          ? 0.0
-          : stats.cancel_latency_total_seconds /
-                static_cast<double>(stats.cancel_latency_count);
+  double mean = snapshot.latency_count == 0
+                    ? 0.0
+                    : snapshot.latency_sum /
+                          static_cast<double>(snapshot.latency_count);
   out << "{\n"
-      << "  \"cancel_latency_count\": " << stats.cancel_latency_count
-      << ",\n"
+      << "  \"cancel_latency_count\": " << snapshot.latency_count << ",\n"
       << "  \"cancel_latency_mean_seconds\": " << mean << ",\n"
-      << "  \"cancel_latency_max_seconds\": "
-      << stats.cancel_latency_max_seconds << ",\n"
+      << "  \"cancel_latency_max_seconds\": " << snapshot.latency_max
+      << ",\n"
       << "  \"preempted\": " << stats.preempted << ",\n"
       << "  \"cancelled\": " << stats.cancelled << ",\n"
       << "  \"deadline_exceeded\": " << stats.deadline_exceeded << "\n"

@@ -2,26 +2,29 @@
 """Socketed soak for marioh_served.
 
 Spawns the daemon on an ephemeral port, drives ~50 requests across
-several concurrent TCP connections (gen / submit / wait / poll / stats /
-forget plus deliberate protocol errors), then SIGTERMs it and asserts:
+several concurrent TCP connections (gen / submit / wait / poll /
+metrics json / forget plus deliberate protocol errors), then SIGTERMs it
+and asserts:
 
   * every request got a well-formed one-line reply (ok/error, never EOF
     mid-conversation),
-  * the daemon exits 0 and writes its --stats-json snapshot,
+  * the daemon exits 0 and writes its --metrics-json observability
+    snapshot, with the counters/gauges/histograms/spans sections,
   * the service counter partition holds in that snapshot:
-      accepted == done + failed + cancelled + deadline_exceeded
-                  + queued + running
+      marioh_jobs_accepted_total == done + failed + cancelled
+          + deadline_exceeded totals + marioh_jobs_queued
+          + marioh_jobs_running
     (all jobs terminal at shutdown, and rejected submits stay out of
-    `accepted`),
+    `accepted`), every driven job was accepted, and every connection
+    was counted,
   * the same partition holds *live*, scraped from the `metrics` verb
     mid-run while worker connections are still submitting — the
     registry's collection hooks publish mutex-coherent snapshots, so
     the invariant is exact at any instant, not just at quiescence,
-  * with a metrics.json argument, the daemon also writes its full
-    --metrics-json observability snapshot and it parses as JSON with
-    the counters/gauges/histograms/spans sections.
+  * the shutdown snapshot agrees with the last live scrape on the
+    accepted count (no job was admitted after the traffic stopped).
 
-Usage: net_soak.py /path/to/marioh_served [stats.json] [metrics.json]
+Usage: net_soak.py /path/to/marioh_served [metrics.json]
 
 Exit status 0 on success; nonzero with a diagnostic on any failure.
 No dependencies beyond the Python 3 standard library.
@@ -92,9 +95,23 @@ class Client:
         return series
 
 
+def snapshot_series(snapshot):
+    """Flattens a metrics JSON snapshot's counters and gauges into the
+    same {series_signature: float} shape `scrape_metrics` returns."""
+    series = {}
+    for section in ("counters", "gauges"):
+        for metric in snapshot[section]:
+            key = metric["name"]
+            if metric.get("labels"):
+                key += "{" + metric["labels"] + "}"
+            series[key] = float(metric["value"])
+    return series
+
+
 def assert_partition(series, where):
     """accepted == terminals + queued + running, exactly, in a metrics
-    scrape (counters are integers, so float equality is exact)."""
+    scrape or snapshot (counters are integers, so float equality is
+    exact)."""
     terminal = (series["marioh_jobs_done_total"] +
                 series["marioh_jobs_failed_total"] +
                 series["marioh_jobs_cancelled_total"] +
@@ -102,7 +119,7 @@ def assert_partition(series, where):
                 series["marioh_jobs_queued"] +
                 series["marioh_jobs_running"])
     if series["marioh_jobs_accepted_total"] != terminal:
-        fail("%s: live partition violated: accepted=%s vs sum=%s"
+        fail("%s: partition violated: accepted=%s vs sum=%s"
              % (where, series["marioh_jobs_accepted_total"], terminal))
 
 
@@ -126,7 +143,9 @@ def drive_connection(port, index, errors):
         reply = client.request("definitely-not-a-verb")
         if not reply.startswith("error "):
             fail("unknown verb not an error: %r" % reply)
-        client.request("stats")
+        reply = client.request("metrics json")
+        if not reply.startswith("ok metrics-json {"):
+            fail("bad metrics json reply: %r" % reply[:80])
         reply = client.request("quit")
         if reply != "ok bye":
             fail("quit reply: %r" % reply)
@@ -141,17 +160,14 @@ def drive_connection(port, index, errors):
 
 def main():
     if len(sys.argv) < 2:
-        fail("usage: net_soak.py /path/to/marioh_served "
-             "[stats.json] [metrics.json]")
+        fail("usage: net_soak.py /path/to/marioh_served [metrics.json]")
     binary = sys.argv[1]
-    stats_path = sys.argv[2] if len(sys.argv) > 2 else "net_soak_stats.json"
-    metrics_path = sys.argv[3] if len(sys.argv) > 3 else ""
+    metrics_path = (sys.argv[2] if len(sys.argv) > 2
+                    else "net_soak_metrics.json")
 
     command = [binary, "--port", "0", "--workers", "2",
                "--max-connections", "32", "--job-ttl", "600",
-               "--stats-json", stats_path]
-    if metrics_path:
-        command += ["--metrics-json", metrics_path]
+               "--metrics-json", metrics_path]
     daemon = subprocess.Popen(
         command,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
@@ -191,8 +207,10 @@ def main():
         if final["marioh_process_rss_bytes"] <= 0:
             fail("process RSS gauge missing from metrics scrape")
 
-        stats = seeder.request("stats")
-        print("net_soak: final stats: " + stats)
+        print("net_soak: final scrape: accepted=%d done=%d lines_served=%d"
+              % (final["marioh_jobs_accepted_total"],
+                 final["marioh_jobs_done_total"],
+                 final["marioh_lines_served_total"]))
         seeder.request("quit")
         seeder.close()
 
@@ -209,44 +227,33 @@ def main():
             daemon.kill()
             daemon.wait()
 
-    if not os.path.exists(stats_path):
-        fail("daemon exited without writing %s" % stats_path)
-    with open(stats_path) as f:
+    if not os.path.exists(metrics_path):
+        fail("daemon exited without writing %s" % metrics_path)
+    with open(metrics_path) as f:
         snapshot = json.load(f)
+    for section in ("counters", "gauges", "histograms", "spans"):
+        if section not in snapshot:
+            fail("metrics snapshot missing %r section" % section)
+    series = snapshot_series(snapshot)
 
-    terminal = (snapshot["done"] + snapshot["failed"] +
-                snapshot["cancelled"] + snapshot["deadline_exceeded"] +
-                snapshot["queued"] + snapshot["running"])
-    if snapshot["accepted"] != terminal:
-        fail("partition violated: accepted=%d vs partition sum=%d in %s"
-             % (snapshot["accepted"], terminal, json.dumps(snapshot)))
+    assert_partition(series, "shutdown snapshot")
+    accepted = series["marioh_jobs_accepted_total"]
     expected_jobs = CONNECTIONS * JOBS_PER_CONNECTION
-    if snapshot["accepted"] < expected_jobs:
+    if accepted < expected_jobs:
         fail("expected >= %d accepted jobs, snapshot says %d"
-             % (expected_jobs, snapshot["accepted"]))
-    if snapshot["connections_total"] < CONNECTIONS + 1:
+             % (expected_jobs, accepted))
+    if accepted != final["marioh_jobs_accepted_total"]:
+        fail("shutdown snapshot accepted=%d disagrees with the last live "
+             "scrape %d" % (accepted, final["marioh_jobs_accepted_total"]))
+    connections = series["marioh_connections_total"]
+    if connections < CONNECTIONS + 1:
         fail("expected >= %d connections, snapshot says %d"
-             % (CONNECTIONS + 1, snapshot["connections_total"]))
-
-    if metrics_path:
-        if not os.path.exists(metrics_path):
-            fail("daemon exited without writing %s" % metrics_path)
-        with open(metrics_path) as f:
-            metrics = json.load(f)
-        for section in ("counters", "gauges", "histograms", "spans"):
-            if section not in metrics:
-                fail("metrics snapshot missing %r section" % section)
-        counters = {m["name"]: m["value"] for m in metrics["counters"]}
-        if counters.get("marioh_jobs_accepted_total") != snapshot["accepted"]:
-            fail("metrics snapshot accepted=%s disagrees with stats %d"
-             % (counters.get("marioh_jobs_accepted_total"),
-                snapshot["accepted"]))
-        print("net_soak: metrics snapshot OK (%d counters, %d spans)"
-              % (len(metrics["counters"]), len(metrics["spans"])))
+             % (CONNECTIONS + 1, connections))
+    print("net_soak: metrics snapshot OK (%d counters, %d spans)"
+          % (len(snapshot["counters"]), len(snapshot["spans"])))
 
     print("net_soak: OK — %d jobs over %d connections, partition holds, "
-          "clean shutdown (%s)"
-          % (snapshot["accepted"], snapshot["connections_total"], stats_path))
+          "clean shutdown (%s)" % (accepted, connections, metrics_path))
 
 
 if __name__ == "__main__":
