@@ -2,7 +2,8 @@
 // MHH computation (Eq. (1)), maximal-clique enumeration, feature
 // extraction, filtering, and clique peeling — each on both the mutable
 // hash-map path and the CSR snapshot fast path, with thread sweeps for the
-// parallel kernels. google-benchmark based; pass
+// parallel kernels (timed in wall time) — and the classifier's MLP fit
+// and batched inference. google-benchmark based; pass
 // `--benchmark_out=bench_micro.json --benchmark_out_format=json` to record
 // a machine-readable trajectory (CI uploads this as an artifact).
 
@@ -14,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
+#include "ml/mlp.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -104,7 +106,8 @@ void BM_MaximalCliquesCsrThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(marioh::EnumerateMaximalCliques(csr, options));
   }
 }
-BENCHMARK(BM_MaximalCliquesCsrThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_MaximalCliquesCsrThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 // ---- Clique emission layout ---------------------------------------------
 
@@ -236,7 +239,8 @@ void BM_FeatureExtractAllThreads(benchmark::State& state) {
         extractor.ExtractAll(csr, cliques, true, threads));
   }
 }
-BENCHMARK(BM_FeatureExtractAllThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_FeatureExtractAllThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime();
 
 // ---- Filtering (Algorithm 2) --------------------------------------------
 
@@ -251,7 +255,8 @@ void BM_FilteringThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(marioh::core::Filtering(&g, &h, threads));
   }
 }
-BENCHMARK(BM_FilteringThreads)->Arg(1)->Arg(4);
+BENCHMARK(BM_FilteringThreads)->Arg(1)->Arg(4)
+    ->UseRealTime();
 
 // ---- Clique peeling ------------------------------------------------------
 
@@ -291,7 +296,71 @@ void BM_ParallelScoringScaling(benchmark::State& state) {
     benchmark::DoNotOptimize(sums);
   }
 }
-BENCHMARK(BM_ParallelScoringScaling)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ParallelScoringScaling)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime();
+
+// ---- MLP fit and batched inference --------------------------------------
+// The classifier M's shapes on the `eu` train stage: 6000 rows of the 23
+// multiplicity-aware features, hidden {64, 32}, batch 64 (epochs reduced
+// from 60). The GFLOP rate counter counts 2 FLOP per weight and row forward
+// and 4 backward.
+
+constexpr size_t kMlpRows = 6000;
+constexpr size_t kMlpDim = 23;
+
+double MlpWeights(const marioh::ml::MlpOptions& options) {
+  double weights = 0.0;
+  size_t prev = kMlpDim;
+  for (size_t width : options.hidden) {
+    weights += static_cast<double>(prev * width);
+    prev = width;
+  }
+  return weights + static_cast<double>(prev);
+}
+
+marioh::la::Matrix MlpFeatures(size_t rows, std::vector<double>* labels) {
+  marioh::util::Rng rng(11);
+  marioh::la::Matrix x(rows, kMlpDim);
+  labels->assign(rows, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < kMlpDim; ++j) x(i, j) = rng.Normal();
+    (*labels)[i] = rng.Bernoulli(0.25) ? 1.0 : 0.0;
+  }
+  return x;
+}
+
+void BM_MlpFit(benchmark::State& state) {
+  std::vector<double> y;
+  marioh::la::Matrix x = MlpFeatures(kMlpRows, &y);
+  marioh::ml::MlpOptions options;
+  options.epochs = 3;
+  for (auto _ : state) {
+    marioh::ml::Mlp mlp(kMlpDim, 1, options);
+    benchmark::DoNotOptimize(mlp.Fit(x, y));
+  }
+  state.counters["GFLOP"] = benchmark::Counter(
+      6.0 * MlpWeights(options) * kMlpRows * options.epochs * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_MlpFit)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_MlpPredictBatch(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  std::vector<double> y;
+  marioh::la::Matrix x = MlpFeatures(rows, &y);
+  marioh::ml::MlpOptions options;
+  marioh::ml::Mlp mlp(kMlpDim, 1, options);
+  for (auto _ : state) {
+    marioh::la::Vector p = mlp.PredictBatch(x);
+    benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP"] = benchmark::Counter(
+      2.0 * MlpWeights(options) * static_cast<double>(rows) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+// 32 rows is one ScoreAll chunk; 6000 the whole training set.
+BENCHMARK(BM_MlpPredictBatch)->Arg(32)->Arg(6000)->UseRealTime();
 
 // ---- Observability overhead guards --------------------------------------
 // The obs instruments sit at stage/job granularity, never inside the

@@ -126,10 +126,11 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
         options.r_percent / 100.0 * static_cast<double>(rest.size())));
     take = std::min(take, rest.size());
 
-    // Phase 2 scores against the *mutable* graph, not the snapshot:
-    // Phase 1 peels already happened and sub-clique scores must see the
-    // residual weights they would be applied to.
-    std::vector<ScoredSubclique> subs;
+    // Sample first, then score the whole sample in one batch. Phase 2
+    // scores against the *mutable* graph, not the snapshot: Phase 1 peels
+    // already happened and sub-clique scores must see the residual
+    // weights they would be applied to.
+    std::vector<NodeSet> sampled;
     for (size_t i = 0; i < take && !stats.cancelled; ++i) {
       CliqueView q = maximal[rest[i].index];
       // One random sample per sub-clique size k in [2, |Q|-1].
@@ -140,9 +141,18 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
         }
         NodeSet sub = rng->SampleWithoutReplacement(q, k);
         Canonicalize(&sub);
-        double s = classifier.Score(*g, sub, /*is_maximal=*/false);
-        ++stats.subcliques_scored;
-        if (s > options.theta) subs.push_back({std::move(sub), s});
+        sampled.push_back(std::move(sub));
+      }
+    }
+    std::vector<ScoredSubclique> subs;
+    if (!stats.cancelled) {
+      std::vector<double> sub_scores =
+          classifier.ScoreAll(*g, sampled, /*is_maximal=*/false);
+      stats.subcliques_scored += sampled.size();
+      for (size_t i = 0; i < sampled.size(); ++i) {
+        if (sub_scores[i] > options.theta) {
+          subs.push_back({std::move(sampled[i]), sub_scores[i]});
+        }
       }
     }
     std::sort(subs.begin(), subs.end(),

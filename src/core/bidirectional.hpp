@@ -53,8 +53,8 @@ struct BidirectionalOptions {
   /// for any thread count.
   int num_threads = 1;
   /// Cooperative stop signal threaded into every kernel of the iteration
-  /// (enumeration roots/emissions, per-clique scoring slots, per-peel
-  /// and per-subclique loop steps). Null = non-cancellable; untriggered
+  /// (enumeration roots/emissions, per-chunk scoring, per-peel and
+  /// per-subclique sampling steps). Null = non-cancellable; untriggered
   /// = bit-identical output.
   const util::CancelToken* cancel = nullptr;
 };

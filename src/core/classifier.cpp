@@ -16,6 +16,36 @@ NodeSet RandomSubset(const NodeSet& from, size_t k, util::Rng* rng) {
   return out;
 }
 
+/// The ScoreAll body: features of each fixed-size chunk of cliques fill
+/// one matrix, scored by one PredictBatch call.
+template <typename Graph, typename Cliques>
+std::vector<double> ScoreChunks(const FeatureExtractor& extractor,
+                                const ml::StandardScaler& scaler,
+                                const ml::Mlp& mlp, const Graph& g,
+                                const Cliques& cliques, bool is_maximal,
+                                int num_threads,
+                                const util::CancelToken* cancel) {
+  // Cliques per PredictBatch call. Scores are row-independent, so the
+  // size only trades batching against the chunk count threads split.
+  constexpr size_t kChunk = 32;
+  const size_t n = cliques.size();
+  std::vector<double> scores(n);
+  util::ParallelFor((n + kChunk - 1) / kChunk, num_threads, cancel,
+                    [&](size_t chunk) {
+    const size_t begin = chunk * kChunk;
+    const size_t end = std::min(n, begin + kChunk);
+    la::Matrix x(end - begin, extractor.dim());
+    for (size_t i = begin; i < end; ++i) {
+      la::Vector f = extractor.Extract(g, cliques[i], is_maximal);
+      std::copy(f.begin(), f.end(), x.Row(i - begin));
+    }
+    scaler.Transform(&x);
+    la::Vector p = mlp.PredictBatch(x);
+    std::copy(p.begin(), p.end(), scores.begin() + begin);
+  });
+  return scores;
+}
+
 }  // namespace
 
 CliqueClassifier::CliqueClassifier(FeatureMode mode,
@@ -23,8 +53,13 @@ CliqueClassifier::CliqueClassifier(FeatureMode mode,
     : extractor_(mode), options_(std::move(options)) {}
 
 void CliqueClassifier::Train(const ProjectedGraph& g_source,
-                             const Hypergraph& h_source, util::Rng* rng) {
+                             const Hypergraph& h_source, util::Rng* rng,
+                             const util::CancelToken* cancel) {
   MARIOH_CHECK_GT(h_source.num_unique_edges(), 0u);
+  mlp_.reset();
+  // The sampling and feature loops poll per item: a trip lands there too,
+  // and the polls keep the job's heartbeat going before the fit.
+  util::CancelChecker checker(cancel);
 
   // Positive examples: unique source hyperedges (optionally sub-sampled for
   // the semi-supervised setting), which are cliques of G_S by construction.
@@ -82,6 +117,7 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
     }
     while (!large_positives.empty() && negatives.size() < want_hard &&
            hard_attempts < max_hard_attempts) {
+      if (checker.ShouldStop()) return;
       ++hard_attempts;
       const NodeSet& e =
           *large_positives[rng->UniformIndex(large_positives.size())];
@@ -93,6 +129,7 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
 
   for (const NodeSet& q : max_cliques) {
     if (negatives.size() >= want_neg) break;
+    if (checker.ShouldStop()) return;
     try_add_negative(q);
   }
   std::vector<ProjectedGraph::Edge> edges = g_source.Edges();
@@ -100,6 +137,7 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   const size_t max_attempts = want_neg * 20 + 1000;
   while (negatives.size() < want_neg && attempts < max_attempts &&
          !max_cliques.empty()) {
+    if (checker.ShouldStop()) return;
     ++attempts;
     if (attempts % 2 == 0 && !edges.empty()) {
       const auto& e = edges[rng->UniformIndex(edges.size())];
@@ -120,6 +158,7 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   size_t row = 0;
   auto fill = [&](const std::vector<NodeSet>& cliques, double label) {
     for (const NodeSet& q : cliques) {
+      if (checker.ShouldStop()) return;
       la::Vector f = extractor_.Extract(g_source, q,
                                         maximal_set.count(q) > 0);
       std::copy(f.begin(), f.end(), x.Row(row));
@@ -129,14 +168,18 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   };
   fill(positives, 1.0);
   fill(negatives, 0.0);
+  if (checker.ShouldStop()) return;
   MARIOH_CHECK_EQ(row, n);
 
   scaler_.Fit(x);
   scaler_.Transform(&x);
 
-  ml::MlpOptions mlp_options = options_.mlp;
-  mlp_ = std::make_unique<ml::Mlp>(extractor_.dim(), 1, mlp_options);
-  mlp_->Fit(x, y);
+  auto mlp = std::make_unique<ml::Mlp>(extractor_.dim(), 1, options_.mlp);
+  mlp->Fit(x, y, cancel);
+  // A token stays tripped once it trips, so this also sees a trip that
+  // stopped the fit early.
+  if (util::ShouldStop(cancel)) return;
+  mlp_ = std::move(mlp);
   train_counts_ = {positives.size(), negatives.size()};
 }
 
@@ -148,23 +191,20 @@ double CliqueClassifier::Score(const ProjectedGraph& g, CliqueView clique,
   return mlp_->Predict(f);
 }
 
-double CliqueClassifier::Score(const CsrGraph& g, CliqueView clique,
-                               bool is_maximal) const {
+std::vector<double> CliqueClassifier::ScoreAll(
+    const ProjectedGraph& g, std::span<const NodeSet> cliques,
+    bool is_maximal) const {
   MARIOH_CHECK(trained());
-  la::Vector f = extractor_.Extract(g, clique, is_maximal);
-  scaler_.Transform(&f);
-  return mlp_->Predict(f);
+  return ScoreChunks(extractor_, scaler_, *mlp_, g, cliques, is_maximal,
+                     /*num_threads=*/1, /*cancel=*/nullptr);
 }
 
 std::vector<double> CliqueClassifier::ScoreAll(
     const CsrGraph& g, std::span<const NodeSet> cliques, bool is_maximal,
     int num_threads, const util::CancelToken* cancel) const {
   MARIOH_CHECK(trained());
-  std::vector<double> scores(cliques.size());
-  util::ParallelFor(cliques.size(), num_threads, cancel, [&](size_t i) {
-    scores[i] = Score(g, cliques[i], is_maximal);
-  });
-  return scores;
+  return ScoreChunks(extractor_, scaler_, *mlp_, g, cliques, is_maximal,
+                     num_threads, cancel);
 }
 
 std::vector<double> CliqueClassifier::ScoreAll(const CsrGraph& g,
@@ -174,11 +214,8 @@ std::vector<double> CliqueClassifier::ScoreAll(const CsrGraph& g,
                                                const util::CancelToken*
                                                    cancel) const {
   MARIOH_CHECK(trained());
-  std::vector<double> scores(cliques.size());
-  util::ParallelFor(cliques.size(), num_threads, cancel, [&](size_t i) {
-    scores[i] = Score(g, cliques[i], is_maximal);
-  });
-  return scores;
+  return ScoreChunks(extractor_, scaler_, *mlp_, g, cliques, is_maximal,
+                     num_threads, cancel);
 }
 
 }  // namespace marioh::core

@@ -48,26 +48,34 @@ class CliqueClassifier {
 
   /// Trains on the source pair. Positives are the (sub-sampled) unique
   /// hyperedges of `h_source`; negatives are maximal cliques of `g_source`
-  /// and random sub-cliques of them that are not hyperedges.
+  /// and random sub-cliques of them that are not hyperedges. `cancel`
+  /// (null = non-cancellable) is polled per sampled candidate, per
+  /// feature row and once per MLP mini-batch; each poll beats its
+  /// heartbeat. A trip leaves the classifier untrained; an untripped
+  /// token changes no output bit.
   void Train(const ProjectedGraph& g_source, const Hypergraph& h_source,
-             util::Rng* rng);
+             util::Rng* rng, const util::CancelToken* cancel = nullptr);
 
   /// Prediction score M(Q) in (0, 1) for a canonical NodeSet or
   /// CliqueView. Must be trained first.
   double Score(const ProjectedGraph& g, CliqueView clique,
                bool is_maximal) const;
 
-  /// Score measured on a CSR snapshot; identical to the ProjectedGraph
-  /// overload on the same graph.
-  double Score(const CsrGraph& g, CliqueView clique, bool is_maximal) const;
+  /// Batched scoring on the mutable graph, one thread: element i is
+  /// `Score(g, cliques[i], is_maximal)`, bit for bit.
+  std::vector<double> ScoreAll(const ProjectedGraph& g,
+                               std::span<const NodeSet> cliques,
+                               bool is_maximal) const;
 
   /// Batched scoring against a frozen snapshot: element i is
-  /// `Score(g, cliques[i], is_maximal)`. Scores are independent pure
-  /// functions of the snapshot, computed into per-index slots with
-  /// `util::ParallelFor` (0 = all cores) — identical for any thread
-  /// count. A tripped `cancel` token (null = non-cancellable) stops each
-  /// range within one clique's scoring; the returned vector then holds
-  /// unwritten (zero) slots and must be discarded by the caller.
+  /// `Score(g, cliques[i], is_maximal)`, bit for bit. The cliques go in
+  /// fixed-size chunks whose boundaries do not depend on the thread
+  /// count; each chunk's features fill one matrix scored by one
+  /// `Mlp::PredictBatch` call, and chunks run under `util::ParallelFor`
+  /// (0 = all cores) — identical for any thread count. A tripped `cancel`
+  /// token (null = non-cancellable) stops each range within one chunk;
+  /// the returned vector then holds unwritten (zero) slots and must be
+  /// discarded by the caller.
   std::vector<double> ScoreAll(const CsrGraph& g,
                                std::span<const NodeSet> cliques,
                                bool is_maximal, int num_threads,

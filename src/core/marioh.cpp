@@ -32,14 +32,19 @@ void Marioh::Train(const ProjectedGraph& g_source,
                    const Hypergraph& h_source) {
   util::ScopedStage stage(&timer_, "train");
   util::Rng rng(options_.seed);
-  classifier_.Train(g_source, h_source, &rng);
+  classifier_.Train(g_source, h_source, &rng, options_.cancel);
 }
 
 Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
+  last_stats_ = {};
+  if (!classifier_.trained() && util::ShouldStop(options_.cancel)) {
+    // The trip stopped Train, which left no classifier to run.
+    last_stats_.cancelled = true;
+    return Hypergraph(g_target.num_nodes());
+  }
   MARIOH_CHECK(classifier_.trained());
   ProjectedGraph g = g_target;  // working copy G'
   Hypergraph h(g.num_nodes());
-  last_stats_ = {};
 
   // The loop owns one CSR snapshot of `g` and keeps it fresh across
   // iterations: when an iteration's peels touch at most a

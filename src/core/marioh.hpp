@@ -48,16 +48,18 @@ struct MariohOptions {
   double snapshot_reuse = 0.4;
   uint64_t seed = 1;  ///< seed for training and sub-clique sampling
   ClassifierOptions classifier;
-  /// Cooperative stop signal for Reconstruct, threaded into every hot
-  /// kernel (filtering's MHH pass, clique enumeration roots/emissions,
-  /// scoring slots, peel steps) so Cancel/deadline trips land mid-kernel
-  /// within a bounded number of work items — not at the next stage
-  /// boundary. Null (the default) is non-cancellable; an *untriggered*
-  /// token leaves the output bit-identical (property-tested by
-  /// test_cancellation). After a trip the returned hypergraph is partial
-  /// — check `ReconstructionStats::cancelled` and discard it
-  /// (api::Session does, mapping the trip to kCancelled /
-  /// kDeadlineExceeded). The token must outlive the Reconstruct call.
+  /// Cooperative stop signal for Train and Reconstruct, threaded into
+  /// every hot kernel (the MLP fit's mini-batches, filtering's MHH pass,
+  /// clique enumeration roots/emissions, scoring chunks, peel steps) so
+  /// Cancel/deadline trips land mid-kernel within a bounded number of
+  /// work items — not at the next stage boundary — and each poll beats
+  /// the watchdog's heartbeat. Null (the default) is non-cancellable; an
+  /// *untriggered* token leaves the output bit-identical (property-tested
+  /// by test_cancellation). After a trip Train leaves the classifier
+  /// untrained and the returned hypergraph is partial — check
+  /// `ReconstructionStats::cancelled` and discard it (api::Session does,
+  /// mapping the trip to kCancelled / kDeadlineExceeded). The token must
+  /// outlive the Train and Reconstruct calls.
   const util::CancelToken* cancel = nullptr;
 };
 
@@ -114,7 +116,8 @@ class Marioh {
 
   /// Reconstructs a hypergraph from the target projected graph
   /// (Algorithm 1). Records time under stages "filtering" and
-  /// "bidirectional".
+  /// "bidirectional". After a trip that left the classifier untrained it
+  /// returns an empty hypergraph flagged cancelled.
   Hypergraph Reconstruct(const ProjectedGraph& g_target) const;
 
   /// Wall-clock per stage from the most recent Train/Reconstruct calls;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <numeric>
 
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace marioh::ml {
 namespace {
@@ -17,14 +20,133 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-void SoftmaxInPlace(la::Vector* z) {
-  double mx = *std::max_element(z->begin(), z->end());
+void SoftmaxInPlace(double* z, size_t n) {
+  double mx = *std::max_element(z, z + n);
   double sum = 0.0;
-  for (double& v : *z) {
-    v = std::exp(v - mx);
-    sum += v;
+  for (size_t i = 0; i < n; ++i) {
+    z[i] = std::exp(z[i] - mx);
+    sum += z[i];
   }
-  for (double& v : *z) v /= sum;
+  for (size_t i = 0; i < n; ++i) z[i] /= sum;
+}
+
+// ---------------------------------------------------------------------------
+// The order-preserving kernel. Every product the network computes is
+// C = X * Y where each C[r][k] starts at 0.0 and adds X[r][t] * Y[t][k] for
+// t = 0, 1, ... in order: the same operations in the same order as one
+// scalar dot product per output, so results do not depend on the tiling,
+// on the batch a row is in, or on its position in that batch. Speed comes
+// from running independent sums side by side (4 x 4 register tiles on
+// 2-wide vectors), never from reassociating one sum. See src/ml/README.md
+// for the flags this file must not be built with.
+
+using Pair = double __attribute__((vector_size(16)));
+
+Pair Load(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void Store(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+/// Left operand: element (r, t) is `data[r * row_stride + t * col_stride]`,
+/// so a transposed matrix needs no copy.
+struct Strided {
+  const double* data;
+  size_t row_stride;
+  size_t col_stride;
+  double operator()(size_t r, size_t t) const {
+    return data[r * row_stride + t * col_stride];
+  }
+};
+
+/// Right operand and result: plain row-major with a leading dimension.
+struct Dense {
+  const double* y;
+  size_t ldy;
+  double* c;
+  size_t ldc;
+};
+
+/// C[r0 .. r0+R) x [k0 .. k0+2V): R x V pairs of accumulators.
+template <size_t R, size_t V>
+void Block(const Strided& x, const Dense& d, size_t depth, size_t r0,
+           size_t k0) {
+  Pair acc[R][V] = {};
+  for (size_t t = 0; t < depth; ++t) {
+    const double* yt = d.y + t * d.ldy + k0;
+    Pair yv[V];
+    for (size_t v = 0; v < V; ++v) yv[v] = Load(yt + 2 * v);
+    for (size_t r = 0; r < R; ++r) {
+      const double xs = x(r0 + r, t);
+      const Pair xv = {xs, xs};
+      for (size_t v = 0; v < V; ++v) acc[r][v] += xv * yv[v];
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < V; ++v) {
+      Store(d.c + (r0 + r) * d.ldc + k0 + 2 * v, acc[r][v]);
+    }
+  }
+}
+
+/// The single column k of R rows (the odd column left after the pairs).
+template <size_t R>
+void Column(const Strided& x, const Dense& d, size_t depth, size_t r0,
+            size_t k) {
+  double acc[R] = {};
+  for (size_t t = 0; t < depth; ++t) {
+    const double yk = d.y[t * d.ldy + k];
+    for (size_t r = 0; r < R; ++r) acc[r] += x(r0 + r, t) * yk;
+  }
+  for (size_t r = 0; r < R; ++r) d.c[(r0 + r) * d.ldc + k] = acc[r];
+}
+
+/// All n columns of R rows: tiles of V pairs, then single pairs, then the
+/// odd column.
+template <size_t R, size_t V>
+void Rows(const Strided& x, const Dense& d, size_t n, size_t depth,
+          size_t r0) {
+  size_t k = 0;
+  for (; k + 2 * V <= n; k += 2 * V) Block<R, V>(x, d, depth, r0, k);
+  for (; k + 2 <= n; k += 2) Block<R, 1>(x, d, depth, r0, k);
+  if (k < n) Column<R>(x, d, depth, r0, k);
+}
+
+/// C (m x n) = X (m x depth) * Y (depth x n). Rows go four at a time
+/// through 4 x 4 tiles; the remainder rows, a lone row included, take the
+/// k-vectorized axpy form on 1 x 8 tiles.
+void Gemm(size_t m, size_t n, size_t depth, const Strided& x,
+          const Dense& d) {
+  size_t r = 0;
+  for (; r + 4 <= m; r += 4) Rows<4, 2>(x, d, n, depth, r);
+  for (; r < m; ++r) Rows<1, 4>(x, d, n, depth, r);
+}
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+
+/// Step size and bias corrections of one Adam step.
+struct AdamScalars {
+  double lr;
+  double bc1;
+  double bc2;
+};
+
+double Sqrt(double x) { return std::sqrt(x); }
+Pair Sqrt(Pair x) { return Pair{std::sqrt(x[0]), std::sqrt(x[1])}; }
+
+/// Adam's per-element update for one value or, lane by lane with the same
+/// expressions, a pair of them; `g` is the batch-mean gradient.
+template <typename T>
+void AdamUpdate(T g, const AdamScalars& adam, T* w, T* m, T* v) {
+  constexpr double kEps = 1e-8;
+  *m = kBeta1 * *m + (1 - kBeta1) * g;
+  *v = kBeta2 * *v + (1 - kBeta2) * g * g;
+  T mhat = *m / adam.bc1;
+  T vhat = *v / adam.bc2;
+  *w -= adam.lr * mhat / (Sqrt(vhat) + kEps);
 }
 
 }  // namespace
@@ -40,161 +162,194 @@ Mlp::Mlp(size_t input_dim, size_t output_dim, const MlpOptions& options)
 
   util::Rng rng(options_.seed);
   for (size_t l = 0; l + 1 < dims_.size(); ++l) {
-    size_t fan_in = dims_[l];
-    size_t fan_out = dims_[l + 1];
-    // He initialization for ReLU layers.
-    double scale = std::sqrt(2.0 / static_cast<double>(fan_in));
-    la::Matrix w(fan_out, fan_in);
-    for (size_t i = 0; i < fan_out; ++i) {
-      for (size_t j = 0; j < fan_in; ++j) {
-        w(i, j) = rng.Normal(0.0, scale);
+    Layer layer;
+    layer.in = dims_[l];
+    layer.out = dims_[l + 1];
+    // He initialization for ReLU layers, drawn unit by unit.
+    double scale = std::sqrt(2.0 / static_cast<double>(layer.in));
+    layer.w.assign(layer.in * layer.out, 0.0);
+    for (size_t i = 0; i < layer.out; ++i) {
+      for (size_t j = 0; j < layer.in; ++j) {
+        layer.w[j * layer.out + i] = rng.Normal(0.0, scale);
       }
     }
-    weights_.push_back(std::move(w));
-    biases_.emplace_back(fan_out, 0.0);
-    m_w_.emplace_back(fan_out, fan_in);
-    v_w_.emplace_back(fan_out, fan_in);
-    m_b_.emplace_back(fan_out, 0.0);
-    v_b_.emplace_back(fan_out, 0.0);
+    layer.b.assign(layer.out, 0.0);
+    layer.m_w.assign(layer.w.size(), 0.0);
+    layer.v_w.assign(layer.w.size(), 0.0);
+    layer.m_b.assign(layer.out, 0.0);
+    layer.v_b.assign(layer.out, 0.0);
+    layers_.push_back(std::move(layer));
   }
 }
 
-la::Vector Mlp::Forward(const la::Vector& x,
-                        std::vector<la::Vector>* activations) const {
-  MARIOH_CHECK_EQ(x.size(), dims_.front());
-  la::Vector cur = x;
-  if (activations != nullptr) {
-    activations->clear();
-    activations->push_back(cur);
-  }
-  for (size_t l = 0; l < weights_.size(); ++l) {
-    la::Vector next = weights_[l].Apply(cur);
-    for (size_t i = 0; i < next.size(); ++i) next[i] += biases_[l][i];
-    bool is_output = (l + 1 == weights_.size());
-    if (!is_output) {
-      for (double& v : next) v = std::max(0.0, v);  // ReLU
+void Mlp::Forward(const double* x, size_t rows,
+                  std::vector<la::Vector>* outs) const {
+  const double* in = x;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    const Layer& layer = layers_[l];
+    double* out = (*outs)[l].data();
+    Gemm(rows, layer.out, layer.in, Strided{in, layer.in, 1},
+         Dense{layer.w.data(), layer.out, out, layer.out});
+    for (size_t r = 0; r < rows; ++r) {
+      double* row = out + r * layer.out;
+      for (size_t i = 0; i < layer.out; ++i) row[i] += layer.b[i];
     }
-    cur = std::move(next);
-    if (activations != nullptr) activations->push_back(cur);
-  }
-  return cur;  // raw logits for the output layer
-}
-
-void Mlp::AdamStep(size_t layer, const la::Matrix& grad_w,
-                   const la::Vector& grad_b) {
-  constexpr double kBeta1 = 0.9;
-  constexpr double kBeta2 = 0.999;
-  constexpr double kEps = 1e-8;
-  double lr = options_.learning_rate;
-  double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(adam_t_));
-  double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(adam_t_));
-
-  la::Matrix& w = weights_[layer];
-  la::Matrix& mw = m_w_[layer];
-  la::Matrix& vw = v_w_[layer];
-  for (size_t i = 0; i < w.rows(); ++i) {
-    for (size_t j = 0; j < w.cols(); ++j) {
-      double g = grad_w(i, j) + options_.weight_decay * w(i, j);
-      mw(i, j) = kBeta1 * mw(i, j) + (1 - kBeta1) * g;
-      vw(i, j) = kBeta2 * vw(i, j) + (1 - kBeta2) * g * g;
-      double mhat = mw(i, j) / bc1;
-      double vhat = vw(i, j) / bc2;
-      w(i, j) -= lr * mhat / (std::sqrt(vhat) + kEps);
+    if (l + 1 < layers_.size()) {
+      for (size_t i = 0; i < rows * layer.out; ++i) {
+        out[i] = std::max(0.0, out[i]);  // ReLU
+      }
     }
-  }
-  la::Vector& b = biases_[layer];
-  la::Vector& mb = m_b_[layer];
-  la::Vector& vb = v_b_[layer];
-  for (size_t i = 0; i < b.size(); ++i) {
-    double g = grad_b[i];
-    mb[i] = kBeta1 * mb[i] + (1 - kBeta1) * g;
-    vb[i] = kBeta2 * vb[i] + (1 - kBeta2) * g * g;
-    double mhat = mb[i] / bc1;
-    double vhat = vb[i] / bc2;
-    b[i] -= lr * mhat / (std::sqrt(vhat) + kEps);
+    in = out;
   }
 }
 
-double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y) {
+la::Vector Mlp::Logits(const double* x, size_t rows) const {
+  // Inference runs in blocks of this many rows, so its scratch stays in
+  // cache whatever the caller's batch size.
+  constexpr size_t kBlock = 64;
+  const size_t block = std::min(rows, kBlock);
+  std::vector<la::Vector> outs;
+  for (const Layer& layer : layers_) outs.emplace_back(block * layer.out);
+  la::Vector logits(rows * output_dim());
+  for (size_t r = 0; r < rows; r += block) {
+    size_t n = std::min(block, rows - r);
+    Forward(x + r * input_dim(), n, &outs);
+    std::copy_n(outs.back().begin(), n * output_dim(),
+                logits.begin() + static_cast<ptrdiff_t>(r * output_dim()));
+  }
+  return logits;
+}
+
+void Mlp::AdamStep(Layer* layer, const double* grad_w, const double* grad_b,
+                   double inv_batch) {
+  const AdamScalars adam{
+      options_.learning_rate,
+      1.0 - std::pow(kBeta1, static_cast<double>(adam_t_)),
+      1.0 - std::pow(kBeta2, static_cast<double>(adam_t_))};
+  const double decay = options_.weight_decay;
+  la::Vector& w = layer->w;
+  la::Vector& mw = layer->m_w;
+  la::Vector& vw = layer->v_w;
+  size_t i = 0;
+  for (; i + 2 <= w.size(); i += 2) {
+    Pair pw = Load(&w[i]);
+    Pair pm = Load(&mw[i]);
+    Pair pv = Load(&vw[i]);
+    AdamUpdate(Load(grad_w + i) * inv_batch + decay * pw, adam, &pw, &pm,
+               &pv);
+    Store(&w[i], pw);
+    Store(&mw[i], pm);
+    Store(&vw[i], pv);
+  }
+  for (; i < w.size(); ++i) {
+    AdamUpdate(grad_w[i] * inv_batch + decay * w[i], adam, &w[i], &mw[i],
+               &vw[i]);
+  }
+  for (size_t j = 0; j < layer->b.size(); ++j) {
+    AdamUpdate(grad_b[j] * inv_batch, adam, &layer->b[j], &layer->m_b[j],
+               &layer->v_b[j]);
+  }
+}
+
+double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
+                const util::CancelToken* cancel) {
   const size_t n = x.rows();
   MARIOH_CHECK_EQ(n, y.size());
   MARIOH_CHECK_GT(n, 0u);
+  MARIOH_CHECK_EQ(x.cols(), input_dim());
+  MARIOH_CHECK_GT(options_.batch_size, 0u);
   util::Rng rng(options_.seed ^ 0x5bd1e995u);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  const size_t num_layers = weights_.size();
-  double last_epoch_loss = 0.0;
+  // Workspace, allocated once: the gathered input batch, each layer's
+  // output and delta (batch x width), the out x in weight copies the
+  // backward pass multiplies by (layers after the first), and the
+  // gradients.
+  const size_t num_layers = layers_.size();
+  const size_t cap = std::min(n, options_.batch_size);
+  la::Vector input(cap * input_dim());
+  std::vector<la::Vector> acts, deltas, weights_t, grad_w, grad_b;
+  for (const Layer& layer : layers_) {
+    acts.emplace_back(cap * layer.out);
+    deltas.emplace_back(cap * layer.out);
+    weights_t.emplace_back(&layer == &layers_.front() ? 0 : layer.w.size());
+    grad_w.emplace_back(layer.w.size());
+    grad_b.emplace_back(layer.out);
+  }
 
+  util::CancelChecker checker(cancel);
+  double last_epoch_loss = 0.0;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(&order);
     double epoch_loss = 0.0;
     size_t processed = 0;
     for (size_t start = 0; start < n; start += options_.batch_size) {
-      size_t end = std::min(n, start + options_.batch_size);
-      size_t bs = end - start;
-      // Accumulated gradients for the batch.
-      std::vector<la::Matrix> gw;
-      std::vector<la::Vector> gb;
-      for (size_t l = 0; l < num_layers; ++l) {
-        gw.emplace_back(weights_[l].rows(), weights_[l].cols());
-        gb.emplace_back(biases_[l].size(), 0.0);
+      if (checker.ShouldStop()) return last_epoch_loss;
+      const size_t bs = std::min(n, start + options_.batch_size) - start;
+      for (size_t s = 0; s < bs; ++s) {
+        std::copy_n(x.Row(order[start + s]), input_dim(),
+                    input.begin() + static_cast<ptrdiff_t>(s * input_dim()));
       }
-      for (size_t idx = start; idx < end; ++idx) {
-        size_t row = order[idx];
-        la::Vector input(x.Row(row), x.Row(row) + x.cols());
-        std::vector<la::Vector> acts;
-        la::Vector logits = Forward(input, &acts);
+      Forward(input.data(), bs, &acts);
 
-        // delta = dLoss/dlogits for cross-entropy heads.
-        la::Vector delta(logits.size());
+      // Loss and delta = dLoss/dlogits for the cross-entropy heads, in
+      // sample order.
+      const size_t classes = output_dim();
+      for (size_t s = 0; s < bs; ++s) {
+        const double target = y[order[start + s]];
+        const double* logits = acts.back().data() + s * classes;
+        double* delta = deltas.back().data() + s * classes;
         if (options_.head == Head::kSigmoid) {
           double p = Sigmoid(logits[0]);
-          double target = y[row];
           delta[0] = p - target;
           epoch_loss += -(target * std::log(std::max(p, 1e-12)) +
                           (1 - target) * std::log(std::max(1 - p, 1e-12)));
         } else {
-          la::Vector probs = logits;
-          SoftmaxInPlace(&probs);
-          size_t target = static_cast<size_t>(y[row]);
-          MARIOH_CHECK_LT(target, probs.size());
-          for (size_t i = 0; i < probs.size(); ++i) {
-            delta[i] = probs[i] - (i == target ? 1.0 : 0.0);
-          }
-          epoch_loss += -std::log(std::max(probs[target], 1e-12));
+          std::copy_n(logits, classes, delta);
+          SoftmaxInPlace(delta, classes);
+          size_t label = static_cast<size_t>(target);
+          MARIOH_CHECK_LT(label, classes);
+          epoch_loss += -std::log(std::max(delta[label], 1e-12));
+          delta[label] -= 1.0;
         }
+      }
 
-        // Backpropagate.
-        for (size_t l = num_layers; l-- > 0;) {
-          const la::Vector& a_in = acts[l];
-          for (size_t i = 0; i < delta.size(); ++i) {
-            gb[l][i] += delta[i];
-            double* grow = gw[l].Row(i);
-            for (size_t j = 0; j < a_in.size(); ++j) {
-              grow[j] += delta[i] * a_in[j];
-            }
+      // Backpropagate. Weight and bias gradients sum over the batch in
+      // sample order (the kernel's t order).
+      for (size_t l = num_layers; l-- > 0;) {
+        const Layer& layer = layers_[l];
+        const double* a_in = l == 0 ? input.data() : acts[l - 1].data();
+        const double* delta = deltas[l].data();
+        Gemm(layer.in, layer.out, bs, Strided{a_in, 1, layer.in},
+             Dense{delta, layer.out, grad_w[l].data(), layer.out});
+        std::fill(grad_b[l].begin(), grad_b[l].end(), 0.0);
+        for (size_t s = 0; s < bs; ++s) {
+          for (size_t i = 0; i < layer.out; ++i) {
+            grad_b[l][i] += delta[s * layer.out + i];
           }
-          if (l == 0) break;
-          la::Vector prev(dims_[l], 0.0);
-          for (size_t j = 0; j < prev.size(); ++j) {
-            double s = 0.0;
-            for (size_t i = 0; i < delta.size(); ++i) {
-              s += weights_[l](i, j) * delta[i];
-            }
-            // ReLU derivative at acts[l][j].
-            prev[j] = acts[l][j] > 0.0 ? s : 0.0;
+        }
+        if (l == 0) break;
+        // prev = delta * W, masked by the ReLU derivative at the input.
+        double* wt = weights_t[l].data();
+        for (size_t j = 0; j < layer.in; ++j) {
+          for (size_t i = 0; i < layer.out; ++i) {
+            wt[i * layer.in + j] = layer.w[j * layer.out + i];
           }
-          delta = std::move(prev);
+        }
+        double* prev = deltas[l - 1].data();
+        Gemm(bs, layer.in, layer.out, Strided{delta, layer.out, 1},
+             Dense{wt, layer.in, prev, layer.in});
+        for (size_t i = 0; i < bs * layer.in; ++i) {
+          prev[i] = a_in[i] > 0.0 ? prev[i] : 0.0;
         }
       }
-      double inv = 1.0 / static_cast<double>(bs);
-      for (size_t l = 0; l < num_layers; ++l) {
-        gw[l].Scale(inv);
-        for (double& v : gb[l]) v *= inv;
-      }
+
       ++adam_t_;
-      for (size_t l = 0; l < num_layers; ++l) AdamStep(l, gw[l], gb[l]);
+      const double inv = 1.0 / static_cast<double>(bs);
+      for (size_t l = 0; l < num_layers; ++l) {
+        AdamStep(&layers_[l], grad_w[l].data(), grad_b[l].data(), inv);
+      }
       processed += bs;
     }
     last_epoch_loss = epoch_loss / static_cast<double>(processed);
@@ -204,33 +359,37 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y) {
 
 double Mlp::Predict(const la::Vector& x) const {
   MARIOH_CHECK(options_.head == Head::kSigmoid);
-  la::Vector logits = Forward(x, nullptr);
-  return Sigmoid(logits[0]);
+  MARIOH_CHECK_EQ(x.size(), input_dim());
+  return Sigmoid(Logits(x.data(), 1)[0]);
 }
 
 la::Vector Mlp::PredictBatch(const la::Matrix& x) const {
-  la::Vector out(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    la::Vector row(x.Row(i), x.Row(i) + x.cols());
-    out[i] = Predict(row);
-  }
+  MARIOH_CHECK(options_.head == Head::kSigmoid);
+  MARIOH_CHECK_EQ(x.cols(), input_dim());
+  la::Vector out = Logits(x.data(), x.rows());
+  for (double& v : out) v = Sigmoid(v);
   return out;
 }
 
 la::Vector Mlp::PredictProba(const la::Vector& x) const {
   MARIOH_CHECK(options_.head == Head::kSoftmax);
-  la::Vector logits = Forward(x, nullptr);
-  SoftmaxInPlace(&logits);
-  return logits;
+  MARIOH_CHECK_EQ(x.size(), input_dim());
+  la::Vector probs = Logits(x.data(), 1);
+  SoftmaxInPlace(probs.data(), probs.size());
+  return probs;
 }
 
 std::vector<uint32_t> Mlp::PredictClasses(const la::Matrix& x) const {
+  MARIOH_CHECK(options_.head == Head::kSoftmax);
+  MARIOH_CHECK_EQ(x.cols(), input_dim());
+  const size_t classes = output_dim();
+  la::Vector probs = Logits(x.data(), x.rows());
   std::vector<uint32_t> out(x.rows());
   for (size_t i = 0; i < x.rows(); ++i) {
-    la::Vector row(x.Row(i), x.Row(i) + x.cols());
-    la::Vector probs = PredictProba(row);
-    out[i] = static_cast<uint32_t>(
-        std::max_element(probs.begin(), probs.end()) - probs.begin());
+    double* row = probs.data() + i * classes;
+    SoftmaxInPlace(row, classes);
+    out[i] = static_cast<uint32_t>(std::max_element(row, row + classes) -
+                                   row);
   }
   return out;
 }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "la/matrix.hpp"
-#include "util/rng.hpp"
+#include "util/cancel.hpp"
 
 namespace marioh::ml {
 
@@ -41,12 +41,20 @@ class Mlp {
   /// Trains on rows of `x` with labels `y`. For the sigmoid head, `y` holds
   /// 0/1 values; for softmax, class indices. Returns the final epoch's mean
   /// training loss.
-  double Fit(const la::Matrix& x, const std::vector<double>& y);
+  ///
+  /// `cancel` (null = non-cancellable) is polled through a
+  /// util::CancelChecker once per mini-batch, which also beats its
+  /// heartbeat. An untripped token changes no output bit. Once it trips,
+  /// Fit returns at the next mini-batch boundary with the network partly
+  /// trained; the caller must discard it.
+  double Fit(const la::Matrix& x, const std::vector<double>& y,
+             const util::CancelToken* cancel = nullptr);
 
   /// Sigmoid head: P(y=1 | x) for one example.
   double Predict(const la::Vector& x) const;
 
-  /// Sigmoid head: probabilities for every row of `x`.
+  /// Sigmoid head: probabilities for every row of `x`. Row i equals
+  /// `Predict` of that row, bit for bit.
   la::Vector PredictBatch(const la::Matrix& x) const;
 
   /// Softmax head: class probabilities for one example.
@@ -59,20 +67,30 @@ class Mlp {
   size_t output_dim() const { return dims_.back(); }
 
  private:
-  // Forward pass; `activations` receives the post-activation output of each
-  // layer (activations[0] is the input).
-  la::Vector Forward(const la::Vector& x,
-                     std::vector<la::Vector>* activations) const;
-  void AdamStep(size_t layer, const la::Matrix& grad_w,
-                const la::Vector& grad_b);
+  /// One fully connected layer with its Adam moments. Weights are stored
+  /// input-major: `w[j * out + i]` connects input j to unit i, so the
+  /// forward pass multiplies a batch of activations by `w` directly.
+  struct Layer {
+    size_t in = 0;
+    size_t out = 0;
+    la::Vector w, b;
+    la::Vector m_w, v_w, m_b, v_b;
+  };
+
+  /// Batched forward pass over `rows` consecutive rows of `x`:
+  /// `(*outs)[l]` (at least rows x dims_[l+1]) receives layer l's output,
+  /// after ReLU for hidden layers and as raw logits for the last one.
+  void Forward(const double* x, size_t rows,
+               std::vector<la::Vector>* outs) const;
+  /// Raw logits (rows x output_dim, row-major) for `rows` rows of `x`.
+  la::Vector Logits(const double* x, size_t rows) const;
+  /// One Adam update from batch-summed gradients scaled by `inv_batch`.
+  void AdamStep(Layer* layer, const double* grad_w, const double* grad_b,
+                double inv_batch);
 
   MlpOptions options_;
-  std::vector<size_t> dims_;          // layer widths incl. input & output
-  std::vector<la::Matrix> weights_;   // weights_[l]: dims_[l+1] x dims_[l]
-  std::vector<la::Vector> biases_;
-  // Adam state.
-  std::vector<la::Matrix> m_w_, v_w_;
-  std::vector<la::Vector> m_b_, v_b_;
+  std::vector<size_t> dims_;  // layer widths incl. input & output
+  std::vector<Layer> layers_;
   int64_t adam_t_ = 0;
 };
 

@@ -269,7 +269,7 @@ bool TcpServer::ConsumeLines(Connection& conn) {
       break;
     }
     if (!result.response.empty()) {
-      if (!QueueOutput(conn, result.response)) return false;
+      if (!QueueOutput(conn, std::move(result.response))) return false;
     }
     if (result.quit) {
       conn.closing = true;
@@ -284,8 +284,14 @@ bool TcpServer::ConsumeLines(Connection& conn) {
   return true;
 }
 
-bool TcpServer::QueueOutput(Connection& conn, std::string_view bytes) {
-  conn.output.append(bytes);
+bool TcpServer::QueueOutput(Connection& conn, std::string bytes) {
+  // Move rather than copy when nothing is queued ahead: a `metrics json`
+  // reply can be hundreds of kilobytes.
+  if (conn.output.empty()) {
+    conn.output = std::move(bytes);
+  } else {
+    conn.output.append(bytes);
+  }
   if (!FlushOutput(conn)) return false;
   if (options_.max_output_bytes > 0 &&
       conn.output.size() > options_.max_output_bytes) {
@@ -370,7 +376,7 @@ void TcpServer::Tick() {
     std::string response = job.ok()
                                ? conn.protocol.FormatJob(*job)
                                : LineProtocol::FormatError(job.status());
-    if (!QueueOutput(conn, response)) continue;
+    if (!QueueOutput(conn, std::move(response))) continue;
     // The client may have pipelined requests behind the wait; serve them
     // now that the connection is live again.
     ConsumeLines(conn);

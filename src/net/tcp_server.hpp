@@ -121,7 +121,7 @@ class TcpServer {
   bool ConsumeLines(Connection& conn);
   /// Queues a response and flushes; enforces the output cap. Returns
   /// false if the connection was closed (slow reader / write error).
-  bool QueueOutput(Connection& conn, std::string_view bytes);
+  bool QueueOutput(Connection& conn, std::string bytes);
   bool FlushOutput(Connection& conn);
   void UpdateInterest(Connection& conn);
   void CloseConnection(int fd);

@@ -384,27 +384,32 @@ std::string MetricRegistry::SnapshotJson() {
       }
     }
   }
-  std::string spans;
+  std::string out = "{\"counters\":[" + counters + "],\"gauges\":[" +
+                    gauges + "],\"histograms\":[" + histograms +
+                    "],\"spans\":[";
   if (this == &Global()) {
     // Spans ride only the global snapshot: the global ring is the one
     // the RAII spans record into (private registries are instruments
-    // only).
-    for (const SpanRecord& span : TraceRing::Global().Snapshot()) {
-      if (!spans.empty()) spans += ",";
-      spans += "{\"id\":" + std::to_string(span.id) +
-               ",\"parent\":" + std::to_string(span.parent_id) +
-               ",\"name\":\"" + JsonEscape(span.name) + "\"";
+    // only). They are formatted straight from the ring into `out`: a
+    // full ring is most of the snapshot, and copying it first would add
+    // that much again to the scrape's peak memory.
+    bool first = true;
+    TraceRing::Global().ForEach([&](const SpanRecord& span) {
+      if (!first) out += ",";
+      first = false;
+      out += "{\"id\":" + std::to_string(span.id) +
+             ",\"parent\":" + std::to_string(span.parent_id) +
+             ",\"name\":\"" + JsonEscape(span.name) + "\"";
       if (!span.detail.empty()) {
-        spans += ",\"detail\":\"" + JsonEscape(span.detail) + "\"";
+        out += ",\"detail\":\"" + JsonEscape(span.detail) + "\"";
       }
-      spans += ",\"start\":" + FormatMetricValue(span.start_seconds) +
-               ",\"duration\":" +
-               FormatMetricValue(span.duration_seconds) + "}";
-    }
+      out += ",\"start\":" + FormatMetricValue(span.start_seconds) +
+             ",\"duration\":" + FormatMetricValue(span.duration_seconds) +
+             "}";
+    });
   }
-  return "{\"counters\":[" + counters + "],\"gauges\":[" + gauges +
-         "],\"histograms\":[" + histograms + "],\"spans\":[" + spans +
-         "]}";
+  out += "]}";
+  return out;
 }
 
 }  // namespace marioh::obs

@@ -50,17 +50,8 @@ void TraceRing::Record(SpanRecord span) {
 }
 
 std::vector<SpanRecord> TraceRing::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  if (!full_) {
-    out = ring_;
-    return out;
-  }
-  // Oldest first: the slot next_ points at is the oldest surviving span.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % capacity_]);
-  }
+  ForEach([&out](const SpanRecord& span) { out.push_back(span); });
   return out;
 }
 

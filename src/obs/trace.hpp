@@ -44,6 +44,17 @@ class TraceRing {
   void Record(SpanRecord span);
   /// All buffered spans, oldest first.
   std::vector<SpanRecord> Snapshot() const;
+  /// Calls `fn(span)` on every buffered span, oldest first, under the
+  /// ring's lock: a Snapshot without the copy, for formatters. `fn` must
+  /// not record spans.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // next_ is the oldest slot once the ring is full, and 0 before.
+    for (size_t i = 0; i < ring_.size(); ++i) {
+      fn(ring_[(next_ + i) % capacity_]);
+    }
+  }
   void Clear();
   size_t capacity() const { return capacity_; }
   size_t size() const;

@@ -4,8 +4,8 @@
 // recursion):
 //
 //  * an *untripped* token must not change a single output bit, at any
-//    thread count — cancellation checks may only stop work early, never
-//    alter what it computes;
+//    thread count and in any stage (train included) — cancellation
+//    checks may only stop work early, never alter what it computes;
 //  * a *tripped* token must land within bounded kernel iterations: a
 //    reconstruction that takes T seconds uncancelled returns kCancelled
 //    (or kDeadlineExceeded) in a small fraction of T.
@@ -84,6 +84,27 @@ TEST(Cancellation, UntrippedTokenKeepsOutputBitIdentical) {
   Hypergraph gated = RunMarioh(w, 2, &distant, &stats);
   EXPECT_FALSE(stats.cancelled);
   EXPECT_EQ(gated.edges(), reference.edges());
+}
+
+// The train stage polls the token too, once per MLP mini-batch. A token
+// the fit consulted on every batch without tripping leaves the trained
+// classifier, and so the reconstruction, bit-identical.
+TEST(Cancellation, UntrippedTokenThroughTrainKeepsOutputBitIdentical) {
+  Workload w = MakeWorkload("hosts", 5);
+  core::MariohOptions options;
+  options.seed = 9;
+  core::Marioh plain(options);
+  plain.Train(w.g_source, w.split.source);
+
+  util::CancelToken token;  // never tripped
+  options.cancel = &token;
+  core::Marioh gated(options);
+  gated.Train(w.g_source, w.split.source);
+  // At least one poll (and heartbeat) per epoch happened inside the fit.
+  EXPECT_GE(token.heartbeat(),
+            static_cast<uint64_t>(options.classifier.mlp.epochs));
+  EXPECT_EQ(gated.Reconstruct(w.g_target).edges(),
+            plain.Reconstruct(w.g_target).edges());
 }
 
 // A token tripped before the run starts stops the kernels at their first

@@ -3,7 +3,9 @@
 // (count/after/p, deterministic seeding), the zero-cost/bit-identity
 // contract when no failpoint fires, per-request retry with exponential
 // backoff (retry-until-success and retries-exhausted), the job watchdog
-// (a wedged job is detected and cancelled within its bounded latency),
+// (a wedged job is detected and cancelled within its bounded latency; a
+// long train stage is not mistaken for a wedge), cancels that land inside
+// the train stage,
 // batch load shedding, and the protocol surface (retries=/backoff= submit
 // keys, attempts= echo, the gated `failpoints` admin verb).
 
@@ -13,6 +15,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/dataset_cache.hpp"
@@ -55,13 +58,59 @@ eval::PreparedDataset SmallDataset() {
                               /*seed=*/1);
 }
 
+/// Caches `data` as `<name>.train`, `<name>.target` and `<name>.truth`.
+std::shared_ptr<DatasetCache> CacheWith(const std::string& name,
+                                        const eval::PreparedDataset& data) {
+  auto cache = std::make_shared<DatasetCache>();
+  EXPECT_TRUE(
+      cache->Insert(name + ".train", data.source, data.g_source).ok());
+  EXPECT_TRUE(cache->Insert(name + ".target", nullptr, data.g_target).ok());
+  EXPECT_TRUE(cache->Insert(name + ".truth", data.target, nullptr).ok());
+  return cache;
+}
+
 std::shared_ptr<DatasetCache> CacheWithCrime(
     const eval::PreparedDataset& data) {
-  auto cache = std::make_shared<DatasetCache>();
-  EXPECT_TRUE(cache->Insert("crime.train", data.source, data.g_source).ok());
-  EXPECT_TRUE(cache->Insert("crime.target", nullptr, data.g_target).ok());
-  EXPECT_TRUE(cache->Insert("crime.truth", data.target, nullptr).ok());
-  return cache;
+  return CacheWith("crime", data);
+}
+
+/// A profile whose MARIOH train stage is long next to every other stage
+/// of a job (about half a second in an optimized build), so the train
+/// tests below can scale their timeouts and cancel points by it.
+eval::PreparedDataset TrainHeavyDataset() {
+  return eval::PrepareDataset("pschool", /*multiplicity_reduced=*/true,
+                              /*seed=*/1);
+}
+
+/// Wall time of a MARIOH Session's train stage alone on `data`, the
+/// faster of two runs — the separately measured reference those tests
+/// scale by.
+double MeasureTrainSeconds(const eval::PreparedDataset& data,
+                           uint64_t seed) {
+  double best = 0.0;
+  for (int run = 0; run < 2; ++run) {
+    api::SessionOptions options;
+    options.method = "MARIOH";
+    options.seed = seed;
+    api::Session session;
+    EXPECT_TRUE(session.Configure(options).ok());
+    auto t0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(session.Train(data.train()).ok());
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    best = run == 0 ? seconds : std::min(best, seconds);
+  }
+  return best;
+}
+
+ReconstructRequest MariohOn(const std::string& name, uint64_t seed) {
+  ReconstructRequest request;
+  request.method = "MARIOH";
+  request.train_dataset = name + ".train";
+  request.target_dataset = name + ".target";
+  request.seed = seed;
+  return request;
 }
 
 void ExpectPartitionHolds(const ServiceStats& stats) {
@@ -349,6 +398,64 @@ TEST_F(FaultsTest, WatchdogLeavesHealthyJobsAlone) {
   ASSERT_TRUE(job.ok());
   EXPECT_EQ(job->state, JobState::kDone) << job->status.ToString();
   EXPECT_EQ(service.stats().jobs_stalled, 0u);
+}
+
+// The train stage beats the heartbeat at every poll — per sampled
+// candidate, per feature row and once per MLP mini-batch — so a job whose
+// training runs four times longer than the stall timeout is healthy, not
+// stalled.
+TEST_F(FaultsTest, WatchdogLeavesALongTrainStageAlone) {
+  eval::PreparedDataset data = TrainHeavyDataset();
+  std::shared_ptr<DatasetCache> cache = CacheWith("pschool", data);
+  const double train_seconds = MeasureTrainSeconds(data, /*seed=*/3);
+  ServiceOptions options;
+  options.stall_timeout_seconds = train_seconds / 4.0;
+  Service service(cache, options);
+
+  StatusOr<JobId> id = service.Submit(MariohOn("pschool", /*seed=*/3));
+  ASSERT_TRUE(id.ok());
+  StatusOr<JobSnapshot> job = service.Wait(*id);
+  ASSERT_TRUE(job.ok());
+  EXPECT_EQ(job->state, JobState::kDone)
+      << job->status.ToString() << " (train alone took " << train_seconds
+      << "s)";
+  EXPECT_EQ(service.stats().jobs_stalled, 0u);
+}
+
+// A Cancel issued while the train stage runs lands at the next poll, not
+// when training ends: the job ends CANCELLED, inside the train stage, in
+// well under the time that stage alone takes uncancelled (Session reports
+// a trip that lands only after training as "during stage 'train'" too).
+TEST_F(FaultsTest, CancelDuringTrainLandsBeforeTrainingWouldEnd) {
+  eval::PreparedDataset data = TrainHeavyDataset();
+  std::shared_ptr<DatasetCache> cache = CacheWith("pschool", data);
+  const double train_seconds = MeasureTrainSeconds(data, /*seed=*/3);
+  Service service(cache, ServiceOptions{});
+
+  auto t0 = std::chrono::steady_clock::now();
+  StatusOr<JobId> id = service.Submit(MariohOn("pschool", /*seed=*/3));
+  ASSERT_TRUE(id.ok());
+  while (service.Poll(*id)->state == JobState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // An eighth of the way into training: the stages before it take a
+  // few milliseconds.
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(train_seconds / 8.0));
+  ASSERT_TRUE(service.Cancel(*id).ok());
+  StatusOr<JobSnapshot> job = service.Wait(*id);
+  double elapsed = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+
+  ASSERT_TRUE(job.ok());
+  EXPECT_EQ(job->state, JobState::kCancelled) << job->status.ToString();
+  EXPECT_NE(job->status.message().find("during stage 'train'"),
+            std::string::npos)
+      << job->status.ToString();
+  EXPECT_LT(elapsed, train_seconds / 2.0)
+      << "train alone took " << train_seconds << "s";
+  ExpectPartitionHolds(service.stats());
 }
 
 // ---------------------------------------------------------------------

@@ -1,14 +1,19 @@
 // Unit tests for the ML substrate: standard scaler, MLP training on
-// separable problems (sigmoid and softmax heads), and the GCN.
+// separable problems (sigmoid and softmax heads), the MLP's byte-for-byte
+// agreement with a per-sample reference implementation, and the GCN.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "hypergraph/projected_graph.hpp"
 #include "ml/gcn.hpp"
 #include "ml/mlp.hpp"
 #include "ml/scaler.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace marioh::ml {
@@ -163,6 +168,323 @@ TEST(Mlp, OutputsAreProbabilities) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity oracle. ReferenceMlp is the per-sample implementation the
+// batched Mlp replaced, copied here verbatim (Adam and loss expressions
+// included): one Forward per sample, gradients accumulated sample by
+// sample. The batched Mlp must reproduce its loss and outputs byte for
+// byte.
+
+double RefSigmoid(double z) {
+  if (z >= 0) {
+    return 1.0 / (1.0 + std::exp(-z));
+  }
+  double e = std::exp(z);
+  return e / (1.0 + e);
+}
+
+void RefSoftmaxInPlace(la::Vector* z) {
+  double mx = *std::max_element(z->begin(), z->end());
+  double sum = 0.0;
+  for (double& v : *z) {
+    v = std::exp(v - mx);
+    sum += v;
+  }
+  for (double& v : *z) v /= sum;
+}
+
+class ReferenceMlp {
+ public:
+  ReferenceMlp(size_t input_dim, size_t output_dim, const MlpOptions& options)
+      : options_(options) {
+    dims_.push_back(input_dim);
+    for (size_t h : options_.hidden) dims_.push_back(h);
+    dims_.push_back(output_dim);
+    util::Rng rng(options_.seed);
+    for (size_t l = 0; l + 1 < dims_.size(); ++l) {
+      size_t fan_in = dims_[l];
+      size_t fan_out = dims_[l + 1];
+      double scale = std::sqrt(2.0 / static_cast<double>(fan_in));
+      la::Matrix w(fan_out, fan_in);
+      for (size_t i = 0; i < fan_out; ++i) {
+        for (size_t j = 0; j < fan_in; ++j) {
+          w(i, j) = rng.Normal(0.0, scale);
+        }
+      }
+      weights_.push_back(std::move(w));
+      biases_.emplace_back(fan_out, 0.0);
+      m_w_.emplace_back(fan_out, fan_in);
+      v_w_.emplace_back(fan_out, fan_in);
+      m_b_.emplace_back(fan_out, 0.0);
+      v_b_.emplace_back(fan_out, 0.0);
+    }
+  }
+
+  double Fit(const la::Matrix& x, const std::vector<double>& y) {
+    const size_t n = x.rows();
+    util::Rng rng(options_.seed ^ 0x5bd1e995u);
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    const size_t num_layers = weights_.size();
+    double last_epoch_loss = 0.0;
+    for (int epoch = 0; epoch < options_.epochs; ++epoch) {
+      rng.Shuffle(&order);
+      double epoch_loss = 0.0;
+      size_t processed = 0;
+      for (size_t start = 0; start < n; start += options_.batch_size) {
+        size_t end = std::min(n, start + options_.batch_size);
+        size_t bs = end - start;
+        std::vector<la::Matrix> gw;
+        std::vector<la::Vector> gb;
+        for (size_t l = 0; l < num_layers; ++l) {
+          gw.emplace_back(weights_[l].rows(), weights_[l].cols());
+          gb.emplace_back(biases_[l].size(), 0.0);
+        }
+        for (size_t idx = start; idx < end; ++idx) {
+          size_t row = order[idx];
+          la::Vector input(x.Row(row), x.Row(row) + x.cols());
+          std::vector<la::Vector> acts;
+          la::Vector logits = Forward(input, &acts);
+          la::Vector delta(logits.size());
+          if (options_.head == Head::kSigmoid) {
+            double p = RefSigmoid(logits[0]);
+            double target = y[row];
+            delta[0] = p - target;
+            epoch_loss += -(target * std::log(std::max(p, 1e-12)) +
+                            (1 - target) * std::log(std::max(1 - p, 1e-12)));
+          } else {
+            la::Vector probs = logits;
+            RefSoftmaxInPlace(&probs);
+            size_t target = static_cast<size_t>(y[row]);
+            for (size_t i = 0; i < probs.size(); ++i) {
+              delta[i] = probs[i] - (i == target ? 1.0 : 0.0);
+            }
+            epoch_loss += -std::log(std::max(probs[target], 1e-12));
+          }
+          for (size_t l = num_layers; l-- > 0;) {
+            const la::Vector& a_in = acts[l];
+            for (size_t i = 0; i < delta.size(); ++i) {
+              gb[l][i] += delta[i];
+              double* grow = gw[l].Row(i);
+              for (size_t j = 0; j < a_in.size(); ++j) {
+                grow[j] += delta[i] * a_in[j];
+              }
+            }
+            if (l == 0) break;
+            la::Vector prev(dims_[l], 0.0);
+            for (size_t j = 0; j < prev.size(); ++j) {
+              double s = 0.0;
+              for (size_t i = 0; i < delta.size(); ++i) {
+                s += weights_[l](i, j) * delta[i];
+              }
+              prev[j] = acts[l][j] > 0.0 ? s : 0.0;
+            }
+            delta = std::move(prev);
+          }
+        }
+        double inv = 1.0 / static_cast<double>(bs);
+        for (size_t l = 0; l < num_layers; ++l) {
+          gw[l].Scale(inv);
+          for (double& v : gb[l]) v *= inv;
+        }
+        ++adam_t_;
+        for (size_t l = 0; l < num_layers; ++l) AdamStep(l, gw[l], gb[l]);
+        processed += bs;
+      }
+      last_epoch_loss = epoch_loss / static_cast<double>(processed);
+    }
+    return last_epoch_loss;
+  }
+
+  double Predict(const la::Vector& x) const {
+    return RefSigmoid(Forward(x, nullptr)[0]);
+  }
+
+  la::Vector PredictProba(const la::Vector& x) const {
+    la::Vector logits = Forward(x, nullptr);
+    RefSoftmaxInPlace(&logits);
+    return logits;
+  }
+
+ private:
+  la::Vector Forward(const la::Vector& x,
+                     std::vector<la::Vector>* activations) const {
+    la::Vector cur = x;
+    if (activations != nullptr) {
+      activations->clear();
+      activations->push_back(cur);
+    }
+    for (size_t l = 0; l < weights_.size(); ++l) {
+      la::Vector next = weights_[l].Apply(cur);
+      for (size_t i = 0; i < next.size(); ++i) next[i] += biases_[l][i];
+      bool is_output = (l + 1 == weights_.size());
+      if (!is_output) {
+        for (double& v : next) v = std::max(0.0, v);
+      }
+      cur = std::move(next);
+      if (activations != nullptr) activations->push_back(cur);
+    }
+    return cur;
+  }
+
+  void AdamStep(size_t layer, const la::Matrix& grad_w,
+                const la::Vector& grad_b) {
+    constexpr double kBeta1 = 0.9;
+    constexpr double kBeta2 = 0.999;
+    constexpr double kEps = 1e-8;
+    double lr = options_.learning_rate;
+    double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(adam_t_));
+    double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(adam_t_));
+    la::Matrix& w = weights_[layer];
+    la::Matrix& mw = m_w_[layer];
+    la::Matrix& vw = v_w_[layer];
+    for (size_t i = 0; i < w.rows(); ++i) {
+      for (size_t j = 0; j < w.cols(); ++j) {
+        double g = grad_w(i, j) + options_.weight_decay * w(i, j);
+        mw(i, j) = kBeta1 * mw(i, j) + (1 - kBeta1) * g;
+        vw(i, j) = kBeta2 * vw(i, j) + (1 - kBeta2) * g * g;
+        double mhat = mw(i, j) / bc1;
+        double vhat = vw(i, j) / bc2;
+        w(i, j) -= lr * mhat / (std::sqrt(vhat) + kEps);
+      }
+    }
+    la::Vector& b = biases_[layer];
+    la::Vector& mb = m_b_[layer];
+    la::Vector& vb = v_b_[layer];
+    for (size_t i = 0; i < b.size(); ++i) {
+      double g = grad_b[i];
+      mb[i] = kBeta1 * mb[i] + (1 - kBeta1) * g;
+      vb[i] = kBeta2 * vb[i] + (1 - kBeta2) * g * g;
+      double mhat = mb[i] / bc1;
+      double vhat = vb[i] / bc2;
+      b[i] -= lr * mhat / (std::sqrt(vhat) + kEps);
+    }
+  }
+
+  MlpOptions options_;
+  std::vector<size_t> dims_;
+  std::vector<la::Matrix> weights_;
+  std::vector<la::Vector> biases_;
+  std::vector<la::Matrix> m_w_, v_w_;
+  std::vector<la::Vector> m_b_, v_b_;
+  int64_t adam_t_ = 0;
+};
+
+bool SameBytes(const la::Vector& a, const la::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool SameBytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Normal features with every fifth entry exactly zero, so ReLU inputs and
+/// gradient products also meet signed zeros.
+la::Matrix OracleFeatures(size_t n, size_t dim, util::Rng* rng) {
+  la::Matrix x(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < dim; ++j) {
+      x(i, j) = (i * dim + j) % 5 == 4 ? 0.0 : rng->Normal();
+    }
+  }
+  return x;
+}
+
+TEST(Mlp, BatchedMatchesPerSampleOracleByteForByte) {
+  const std::vector<std::vector<size_t>> hiddens = {{64, 32}, {5}, {}};
+  // 150 rows: not a multiple of batch sizes 7 or 64.
+  const size_t n = 150;
+  const size_t probes = 37;
+  for (Head head : {Head::kSigmoid, Head::kSoftmax}) {
+    for (size_t dim : {1u, 13u, 23u}) {
+      for (const std::vector<size_t>& hidden : hiddens) {
+        for (size_t batch : {1u, 7u, 64u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "head=" << (head == Head::kSigmoid ? "sigmoid"
+                                                             : "softmax")
+                       << " dim=" << dim << " hidden=" << hidden.size()
+                       << " batch=" << batch);
+          const size_t classes = head == Head::kSigmoid ? 1 : 3;
+          util::Rng rng(1000 + dim * 7 + batch + hidden.size());
+          la::Matrix x = OracleFeatures(n, dim, &rng);
+          std::vector<double> y(n);
+          for (size_t i = 0; i < n; ++i) {
+            y[i] = static_cast<double>(rng.UniformIndex(classes == 1 ? 2
+                                                                     : 3));
+          }
+          la::Matrix probe = OracleFeatures(probes, dim, &rng);
+
+          MlpOptions options;
+          options.hidden = hidden;
+          options.head = head;
+          options.epochs = 3;
+          options.batch_size = batch;
+          options.seed = 17 + batch;
+          Mlp mlp(dim, classes, options);
+          ReferenceMlp ref(dim, classes, options);
+          // Two Fits: the second continues from the first's Adam state.
+          for (int round = 0; round < 2; ++round) {
+            double loss = mlp.Fit(x, y);
+            double ref_loss = ref.Fit(x, y);
+            EXPECT_TRUE(SameBytes(loss, ref_loss))
+                << loss << " vs " << ref_loss << " round " << round;
+          }
+
+          if (head == Head::kSigmoid) {
+            la::Vector batched = mlp.PredictBatch(probe);
+            la::Vector expected(probes);
+            for (size_t i = 0; i < probes; ++i) {
+              la::Vector row(probe.Row(i), probe.Row(i) + dim);
+              expected[i] = ref.Predict(row);
+              EXPECT_TRUE(SameBytes(mlp.Predict(row), batched[i])) << i;
+            }
+            EXPECT_TRUE(SameBytes(batched, expected));
+          } else {
+            std::vector<uint32_t> classes_out = mlp.PredictClasses(probe);
+            for (size_t i = 0; i < probes; ++i) {
+              la::Vector row(probe.Row(i), probe.Row(i) + dim);
+              la::Vector expected = ref.PredictProba(row);
+              EXPECT_TRUE(SameBytes(mlp.PredictProba(row), expected)) << i;
+              EXPECT_EQ(classes_out[i],
+                        static_cast<uint32_t>(
+                            std::max_element(expected.begin(),
+                                             expected.end()) -
+                            expected.begin()))
+                  << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Mlp, TrippedTokenStopsFitBeforeTheFirstBatch) {
+  util::Rng rng(31);
+  la::Matrix x = OracleFeatures(40, 4, &rng);
+  std::vector<double> y(40, 1.0);
+  MlpOptions options;
+  options.epochs = 5;
+  options.seed = 4;
+  Mlp fresh(4, 1, options);
+  Mlp stopped(4, 1, options);
+  util::CancelToken token;
+  token.Cancel();
+  EXPECT_EQ(stopped.Fit(x, y, &token), 0.0);
+  // No batch ran: the network still has its initial weights.
+  la::Vector probe(x.Row(0), x.Row(0) + 4);
+  EXPECT_TRUE(SameBytes(stopped.Predict(probe), fresh.Predict(probe)));
+  // Every mini-batch poll beats the heartbeat; an untripped token gives the
+  // same network as none.
+  util::CancelToken live;
+  Mlp with_token(4, 1, options);
+  double loss = with_token.Fit(x, y, &live);
+  EXPECT_TRUE(SameBytes(loss, fresh.Fit(x, y)));
+  EXPECT_EQ(live.heartbeat(), 5u);  // 40 rows = one batch of 64, 5 epochs
+  EXPECT_TRUE(SameBytes(with_token.Predict(probe), fresh.Predict(probe)));
 }
 
 ProjectedGraph TwoCliquesGraph() {
