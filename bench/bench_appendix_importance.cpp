@@ -17,6 +17,7 @@
 #include "core/features.hpp"
 #include "eval/harness.hpp"
 #include "hypergraph/clique.hpp"
+#include "hypergraph/csr.hpp"
 #include "ml/mlp.hpp"
 #include "ml/scaler.hpp"
 #include "util/hash.hpp"
@@ -93,7 +94,9 @@ int main(int argc, char** argv) {
       labels.push_back(1.0);
     }
     marioh::util::Rng rng(7);
-    for (const NodeSet& q : marioh::EnumerateMaximalCliques(*data.g_source).cliques.ToNodeSets()) {
+    const marioh::CsrGraph snapshot(*data.g_source);
+    for (const NodeSet& q :
+         marioh::EnumerateMaximalCliques(snapshot).cliques.ToNodeSets()) {
       if (hyperedges.count(q) > 0) continue;
       cliques.push_back(q);
       labels.push_back(0.0);
@@ -108,12 +111,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    marioh::la::Matrix x(cliques.size(), extractor.dim());
-    for (size_t i = 0; i < cliques.size(); ++i) {
-      marioh::la::Vector f =
-          extractor.Extract(*data.g_source, cliques[i], true);
-      std::copy(f.begin(), f.end(), x.Row(i));
-    }
+    marioh::la::Matrix x =
+        extractor.ExtractAll(snapshot, cliques, true, /*num_threads=*/1);
     marioh::ml::StandardScaler scaler;
     scaler.Fit(x);
     scaler.Transform(&x);

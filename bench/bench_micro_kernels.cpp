@@ -1,7 +1,7 @@
 // Microbenchmarks of the hot kernels inside MARIOH's reconstruction loop:
-// MHH computation (Eq. (1)), maximal-clique enumeration, feature
-// extraction, filtering, and clique peeling — each on both the mutable
-// hash-map path and the CSR snapshot fast path, with thread sweeps for the
+// MHH computation (Eq. (1)) on the mutable graph and on the CSR snapshot,
+// snapshot build and patch, maximal-clique enumeration, feature
+// extraction, filtering and clique peeling, with thread sweeps for the
 // parallel kernels (timed in wall time) — and the classifier's MLP fit
 // and batched inference. google-benchmark based; pass
 // `--benchmark_out=bench_micro.json --benchmark_out_format=json` to record
@@ -84,16 +84,6 @@ void BM_MaximalCliques(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaximalCliques)->Arg(200)->Arg(800);
-
-// Sequential reference over the hash-map adjacency (the pre-CSR path).
-void BM_MaximalCliquesHashmap(benchmark::State& state) {
-  ProjectedGraph g = MakeGraph(static_cast<size_t>(state.range(0)),
-                               static_cast<size_t>(state.range(0)) * 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(marioh::MaximalCliquesHashMapReference(g));
-  }
-}
-BENCHMARK(BM_MaximalCliquesHashmap)->Arg(200)->Arg(800);
 
 // Thread sweep over the CSR fast path (snapshot built once, as in the
 // reconstruction loop where one snapshot serves the whole iteration).
@@ -196,20 +186,6 @@ void BM_CsrPatchRebuildBaseline(benchmark::State& state) {
 BENCHMARK(BM_CsrPatchRebuildBaseline)->Arg(1)->Arg(10)->Arg(50);
 
 // ---- Feature extraction --------------------------------------------------
-
-void BM_FeatureExtraction(benchmark::State& state) {
-  ProjectedGraph g = MakeGraph(500, 1500);
-  marioh::core::FeatureExtractor extractor(
-      marioh::core::FeatureMode::kMultiplicityAware);
-  std::vector<NodeSet> cliques = marioh::EnumerateMaximalCliques(g).cliques.ToNodeSets();
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        extractor.Extract(g, cliques[i % cliques.size()], true));
-    ++i;
-  }
-}
-BENCHMARK(BM_FeatureExtraction);
 
 void BM_FeatureExtractionCsr(benchmark::State& state) {
   ProjectedGraph g = MakeGraph(500, 1500);

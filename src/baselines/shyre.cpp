@@ -6,7 +6,9 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "core/marioh.hpp"
 #include "hypergraph/clique.hpp"
+#include "hypergraph/csr.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -24,14 +26,17 @@ core::FeatureMode ToFeatureMode(ShyreFeatures f) {
 
 Shyre::Shyre() : Shyre(Options()) {}
 
-Shyre::Shyre(Options options)
+Shyre::Shyre(Options options, const util::CancelToken* cancel)
     : options_(std::move(options)),
+      cancel_(cancel),
       classifier_(ToFeatureMode(options_.features), options_.classifier) {}
 
 void Shyre::Train(const ProjectedGraph& g_source,
                   const Hypergraph& h_source) {
   util::Rng rng(options_.seed);
-  classifier_.Train(g_source, h_source, &rng);
+  classifier_.Train(g_source, h_source, &rng, cancel_);
+  // A trip left the classifier untrained; the job is being abandoned.
+  if (!classifier_.trained()) return;
 
   // Estimate rho(n, k): for each maximal clique of size n in G_S, count
   // source hyperedges of size k fully inside it; average per clique size.
@@ -81,10 +86,12 @@ double Shyre::Rho(size_t n, size_t k) const {
 Hypergraph Shyre::Reconstruct(const ProjectedGraph& g_target) {
   Hypergraph h(g_target.num_nodes());
   util::Rng rng(options_.seed ^ 0xabcdef12345ULL);
-  // Maximal cliques stay in the enumeration arena; candidates are scored
-  // as views, and the dedup lookup reuses one scratch key. Only accepted
+  // One snapshot of G_T serves the enumeration and every score. Maximal
+  // cliques stay in the enumeration arena; candidates are scored as
+  // views, and the dedup lookup reuses one scratch key. Only accepted
   // candidates own their nodes (inside the `accepted` set).
-  MaximalCliqueResult enumerated = EnumerateMaximalCliques(g_target);
+  const CsrGraph snapshot(g_target);
+  MaximalCliqueResult enumerated = EnumerateMaximalCliques(snapshot);
 
   std::unordered_set<NodeSet, util::VectorHash> accepted;
   NodeSet lookup_key;  // reused buffer: no allocation per candidate
@@ -92,7 +99,7 @@ Hypergraph Shyre::Reconstruct(const ProjectedGraph& g_target) {
     if (q.size() < 2) return;
     lookup_key.assign(q.begin(), q.end());
     if (accepted.count(lookup_key) > 0) return;
-    double score = classifier_.Score(g_target, q, is_maximal);
+    double score = classifier_.Score(snapshot, q, is_maximal);
     if (score > options_.threshold) accepted.insert(lookup_key);
   };
 
@@ -135,8 +142,12 @@ MakeShyre(ShyreFeatures features, const std::string& name,
   reader.Get("max_candidates_per_clique",
              &options.max_candidates_per_clique);
   MARIOH_RETURN_IF_ERROR(reader.Finish(name));
+  // Session::Configure fills the typed base options with the job's cancel
+  // token; training polls it like MARIOH's.
+  const util::CancelToken* cancel =
+      config.marioh_base != nullptr ? config.marioh_base->cancel : nullptr;
   std::unique_ptr<marioh::api::Reconstructor> method =
-      std::make_unique<Shyre>(options);
+      std::make_unique<Shyre>(options, cancel);
   return method;
 }
 

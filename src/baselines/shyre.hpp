@@ -14,6 +14,7 @@
 
 #include "api/method.hpp"
 #include "core/classifier.hpp"
+#include "util/cancel.hpp"
 
 namespace marioh::baselines {
 
@@ -39,7 +40,11 @@ class Shyre : public api::Reconstructor {
 
   /// Constructs SHyRe-Count with default options.
   Shyre();
-  explicit Shyre(Options options);
+  /// `cancel` (null = non-cancellable) is polled by the classifier's
+  /// training exactly as in `CliqueClassifier::Train`; a trip leaves the
+  /// instance untrained.
+  explicit Shyre(Options options,
+                 const util::CancelToken* cancel = nullptr);
 
   std::string Name() const override {
     return options_.features == ShyreFeatures::kCount ? "SHyRe-Count"
@@ -62,6 +67,7 @@ class Shyre : public api::Reconstructor {
   double Rho(size_t n, size_t k) const;
 
   Options options_;
+  const util::CancelToken* cancel_;
   core::CliqueClassifier classifier_;
   // rho_[n][k] = average count; ragged, indexed by clique size.
   std::vector<std::vector<double>> rho_;

@@ -126,10 +126,7 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
         options.r_percent / 100.0 * static_cast<double>(rest.size())));
     take = std::min(take, rest.size());
 
-    // Sample first, then score the whole sample in one batch. Phase 2
-    // scores against the *mutable* graph, not the snapshot: Phase 1 peels
-    // already happened and sub-clique scores must see the residual
-    // weights they would be applied to.
+    // Sample first, then score the whole sample in one batch.
     std::vector<NodeSet> sampled;
     for (size_t i = 0; i < take && !stats.cancelled; ++i) {
       CliqueView q = maximal[rest[i].index];
@@ -145,13 +142,23 @@ BidirectionalStats BidirectionalSearch(ProjectedGraph* g,
       }
     }
     std::vector<ScoredSubclique> subs;
-    if (!stats.cancelled) {
+    if (!stats.cancelled && !sampled.empty()) {
+      // Sub-clique scores must see the residual weights they would be
+      // applied to, so they run on the iteration snapshot patched with
+      // the Phase-1 peels (bit-identical to a fresh snapshot of `*g`).
+      const CsrGraph residual(snapshot, *g, stats.touched_nodes,
+                              options.num_threads);
       std::vector<double> sub_scores =
-          classifier.ScoreAll(*g, sampled, /*is_maximal=*/false);
-      stats.subcliques_scored += sampled.size();
-      for (size_t i = 0; i < sampled.size(); ++i) {
-        if (sub_scores[i] > options.theta) {
-          subs.push_back({std::move(sampled[i]), sub_scores[i]});
+          classifier.ScoreAll(residual, sampled, /*is_maximal=*/false,
+                              options.num_threads, options.cancel);
+      // A trip leaves unwritten slots behind; none of them may be used.
+      stats.cancelled = util::ShouldStop(options.cancel);
+      if (!stats.cancelled) {
+        stats.subcliques_scored += sampled.size();
+        for (size_t i = 0; i < sampled.size(); ++i) {
+          if (sub_scores[i] > options.theta) {
+            subs.push_back({std::move(sampled[i]), sub_scores[i]});
+          }
         }
       }
     }

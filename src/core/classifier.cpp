@@ -18,10 +18,10 @@ NodeSet RandomSubset(const NodeSet& from, size_t k, util::Rng* rng) {
 
 /// The ScoreAll body: features of each fixed-size chunk of cliques fill
 /// one matrix, scored by one PredictBatch call.
-template <typename Graph, typename Cliques>
+template <typename Cliques>
 std::vector<double> ScoreChunks(const FeatureExtractor& extractor,
                                 const ml::StandardScaler& scaler,
-                                const ml::Mlp& mlp, const Graph& g,
+                                const ml::Mlp& mlp, const CsrGraph& g,
                                 const Cliques& cliques, bool is_maximal,
                                 int num_threads,
                                 const util::CancelToken* cancel) {
@@ -80,11 +80,14 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   std::unordered_set<NodeSet, util::VectorHash> hyperedge_set;
   for (const auto& [e, m] : h_source.edges()) hyperedge_set.insert(e);
 
+  // One snapshot of G_S serves the enumeration and every feature row.
+  const CsrGraph snapshot(g_source);
+
   // Maximality oracle for feature computation: the maximal cliques of
   // G_S, materialized out of the arena because the hash-set oracle and
   // the random sub-clique sampling below need owning sets.
   std::vector<NodeSet> max_cliques =
-      EnumerateMaximalCliques(g_source).cliques.ToNodeSets();
+      EnumerateMaximalCliques(snapshot).cliques.ToNodeSets();
   std::unordered_set<NodeSet, util::VectorHash> maximal_set(
       max_cliques.begin(), max_cliques.end());
 
@@ -159,7 +162,7 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   auto fill = [&](const std::vector<NodeSet>& cliques, double label) {
     for (const NodeSet& q : cliques) {
       if (checker.ShouldStop()) return;
-      la::Vector f = extractor_.Extract(g_source, q,
+      la::Vector f = extractor_.Extract(snapshot, q,
                                         maximal_set.count(q) > 0);
       std::copy(f.begin(), f.end(), x.Row(row));
       y[row] = label;
@@ -183,20 +186,12 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   train_counts_ = {positives.size(), negatives.size()};
 }
 
-double CliqueClassifier::Score(const ProjectedGraph& g, CliqueView clique,
+double CliqueClassifier::Score(const CsrGraph& g, CliqueView clique,
                                bool is_maximal) const {
   MARIOH_CHECK(trained());
   la::Vector f = extractor_.Extract(g, clique, is_maximal);
   scaler_.Transform(&f);
   return mlp_->Predict(f);
-}
-
-std::vector<double> CliqueClassifier::ScoreAll(
-    const ProjectedGraph& g, std::span<const NodeSet> cliques,
-    bool is_maximal) const {
-  MARIOH_CHECK(trained());
-  return ScoreChunks(extractor_, scaler_, *mlp_, g, cliques, is_maximal,
-                     /*num_threads=*/1, /*cancel=*/nullptr);
 }
 
 std::vector<double> CliqueClassifier::ScoreAll(

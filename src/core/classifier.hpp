@@ -48,7 +48,9 @@ class CliqueClassifier {
 
   /// Trains on the source pair. Positives are the (sub-sampled) unique
   /// hyperedges of `h_source`; negatives are maximal cliques of `g_source`
-  /// and random sub-cliques of them that are not hyperedges. `cancel`
+  /// and random sub-cliques of them that are not hyperedges. One
+  /// `CsrGraph` snapshot of `g_source` serves the enumeration and the
+  /// feature rows. `cancel`
   /// (null = non-cancellable) is polled per sampled candidate, per
   /// feature row and once per MLP mini-batch; each poll beats its
   /// heartbeat. A trip leaves the classifier untrained; an untripped
@@ -57,15 +59,8 @@ class CliqueClassifier {
              util::Rng* rng, const util::CancelToken* cancel = nullptr);
 
   /// Prediction score M(Q) in (0, 1) for a canonical NodeSet or
-  /// CliqueView. Must be trained first.
-  double Score(const ProjectedGraph& g, CliqueView clique,
-               bool is_maximal) const;
-
-  /// Batched scoring on the mutable graph, one thread: element i is
-  /// `Score(g, cliques[i], is_maximal)`, bit for bit.
-  std::vector<double> ScoreAll(const ProjectedGraph& g,
-                               std::span<const NodeSet> cliques,
-                               bool is_maximal) const;
+  /// CliqueView, measured on the snapshot `g`. Must be trained first.
+  double Score(const CsrGraph& g, CliqueView clique, bool is_maximal) const;
 
   /// Batched scoring against a frozen snapshot: element i is
   /// `Score(g, cliques[i], is_maximal)`, bit for bit. The cliques go in

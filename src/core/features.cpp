@@ -15,29 +15,11 @@ namespace {
 /// in total, so neighbor lists never need more than the 64 smallest ids.
 constexpr size_t kHoodCap = 64;
 
-/// The `kHoodCap` smallest neighbor ids of u in ascending order. The CSR
-/// overload is a sorted-prefix view; the hash-map overload collects into
-/// `scratch` and partial-sorts (O(d log 64), not O(d log d), on hubs).
-/// Routing both representations through the same ascending order is what
-/// makes capped neighborhood statistics identical across the two paths.
-std::span<const NodeId> SortedNeighborIds(const CsrGraph& g, NodeId u,
-                                          std::vector<NodeId>* scratch) {
-  (void)scratch;
+/// The `kHoodCap` smallest neighbor ids of u in ascending order: a prefix
+/// of the sorted CSR row.
+std::span<const NodeId> SortedNeighborIds(const CsrGraph& g, NodeId u) {
   auto nbrs = g.Neighbors(u);
   return nbrs.subspan(0, std::min(nbrs.size(), kHoodCap));
-}
-
-std::span<const NodeId> SortedNeighborIds(const ProjectedGraph& g, NodeId u,
-                                          std::vector<NodeId>* scratch) {
-  scratch->clear();
-  for (const auto& [v, w] : g.Neighbors(u)) {
-    (void)w;
-    scratch->push_back(v);
-  }
-  size_t keep = std::min(scratch->size(), kHoodCap);
-  std::partial_sort(scratch->begin(), scratch->begin() + keep,
-                    scratch->end());
-  return {scratch->data(), keep};
 }
 
 size_t FeatureDim(FeatureMode mode) {
@@ -56,8 +38,7 @@ size_t FeatureDim(FeatureMode mode) {
   return 0;
 }
 
-template <typename Graph>
-la::Vector ExtractMultiplicityAware(const Graph& g, CliqueView clique,
+la::Vector ExtractMultiplicityAware(const CsrGraph& g, CliqueView clique,
                                     bool is_maximal) {
   const size_t k = clique.size();
 
@@ -109,8 +90,7 @@ la::Vector ExtractMultiplicityAware(const Graph& g, CliqueView clique,
   return out;
 }
 
-template <typename Graph>
-la::Vector ExtractStructural(const Graph& g, CliqueView clique,
+la::Vector ExtractStructural(const CsrGraph& g, CliqueView clique,
                              bool is_maximal) {
   const size_t k = clique.size();
 
@@ -133,9 +113,8 @@ la::Vector ExtractStructural(const Graph& g, CliqueView clique,
   // clique's neighbors (capped for cost, in ascending-id order) that are
   // connected.
   NodeSet hood(clique.begin(), clique.end());
-  std::vector<NodeId> scratch;
   for (NodeId u : clique) {
-    for (NodeId v : SortedNeighborIds(g, u, &scratch)) {
+    for (NodeId v : SortedNeighborIds(g, u)) {
       hood.push_back(v);
       if (hood.size() >= kHoodCap) break;
     }
@@ -170,8 +149,7 @@ la::Vector ExtractStructural(const Graph& g, CliqueView clique,
   return out;
 }
 
-template <typename Graph>
-la::Vector ExtractMotif(const Graph& g, CliqueView clique,
+la::Vector ExtractMotif(const CsrGraph& g, CliqueView clique,
                         bool is_maximal) {
   // Structural features first (13 dims, computed identically to
   // kStructural), then motif statistics.
@@ -199,8 +177,7 @@ la::Vector ExtractMotif(const Graph& g, CliqueView clique,
   return out;
 }
 
-template <typename Graph>
-la::Vector ExtractImpl(FeatureMode mode, const Graph& g, CliqueView clique,
+la::Vector ExtractImpl(FeatureMode mode, const CsrGraph& g, CliqueView clique,
                        bool is_maximal) {
   MARIOH_CHECK_GE(clique.size(), 2u);
   switch (mode) {
@@ -222,7 +199,7 @@ size_t FeatureExtractor::dim() const { return FeatureDim(mode_); }
 la::Vector FeatureExtractor::Extract(const ProjectedGraph& g,
                                      CliqueView clique,
                                      bool is_maximal) const {
-  return ExtractImpl(mode_, g, clique, is_maximal);
+  return Extract(CsrGraph(g), clique, is_maximal);
 }
 
 la::Vector FeatureExtractor::Extract(const CsrGraph& g, CliqueView clique,

@@ -3,14 +3,12 @@
 /// (Sect. III-D) and for the SHyRe-Count-style structural features used by
 /// the MARIOH-M ablation and the SHyRe baselines.
 ///
-/// Every feature family can be computed against either the mutable
-/// hash-map `ProjectedGraph` or an immutable `CsrGraph` snapshot; both
-/// paths produce bit-identical vectors (work caps truncate neighbor sets
-/// in ascending-id order on both). The CSR overload is the reconstruction
-/// loop's hot path — `CliqueClassifier::ScoreAll` calls it per clique
-/// inside one parallel loop over the frozen per-iteration snapshot —
-/// and `ExtractAll` exposes the same batched parallel extraction
-/// standalone (benches, tests, batch training).
+/// Every feature family is computed on an immutable `CsrGraph` snapshot;
+/// work caps truncate neighbor sets in ascending-id order. The
+/// reconstruction loop's `CliqueClassifier::ScoreAll` extracts per clique
+/// inside one parallel loop over the frozen per-iteration snapshot, and
+/// `ExtractAll` exposes the same batched parallel extraction standalone
+/// (benches, tests, batch training).
 
 #pragma once
 
@@ -53,15 +51,16 @@ class FeatureExtractor {
   size_t dim() const;
 
   /// Feature vector of `clique` (a canonical NodeSet or CliqueView,
-  /// size >= 2) measured on graph `g`. `is_maximal` is the caller-supplied
-  /// maximality indicator (cliques from the maximal enumeration pass 1,
-  /// sub-cliques 0).
-  la::Vector Extract(const ProjectedGraph& g, CliqueView clique,
+  /// size >= 2) measured on the snapshot `g`. `is_maximal` is the
+  /// caller-supplied maximality indicator (cliques from the maximal
+  /// enumeration pass 1, sub-cliques 0).
+  la::Vector Extract(const CsrGraph& g, CliqueView clique,
                      bool is_maximal) const;
 
-  /// Same features measured on a CSR snapshot; bit-identical to the
-  /// ProjectedGraph overload on the same graph.
-  la::Vector Extract(const CsrGraph& g, CliqueView clique,
+  /// Convenience for one-off probes on the mutable graph: builds a
+  /// `CsrGraph` snapshot of `g` on every call, then forwards to the
+  /// overload above. Callers extracting many cliques should snapshot once.
+  la::Vector Extract(const ProjectedGraph& g, CliqueView clique,
                      bool is_maximal) const;
 
   /// Batched extraction over candidate cliques: row i of the result is

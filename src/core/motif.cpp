@@ -7,25 +7,7 @@ namespace marioh::core {
 namespace {
 
 /// Collects up to `cap` neighbor ids of u in ascending order, skipping
-/// `skip`. The ascending truncation order is what makes capped statistics
-/// identical between the hash-map and CSR paths — the same convention as
-/// features.cpp's SortedNeighborIds, enforced across both files by
-/// test_hot_path's bit-identity properties.
-std::vector<NodeId> CappedSortedNeighbors(const ProjectedGraph& g, NodeId u,
-                                          NodeId skip, size_t cap) {
-  std::vector<NodeId> out;
-  out.reserve(g.Degree(u));
-  for (const auto& [v, w] : g.Neighbors(u)) {
-    (void)w;
-    if (v != skip) out.push_back(v);
-  }
-  size_t keep = std::min(out.size(), cap);
-  // Keep the `cap` smallest ids (O(d log cap), not O(d log d) on hubs).
-  std::partial_sort(out.begin(), out.begin() + keep, out.end());
-  out.resize(keep);
-  return out;
-}
-
+/// `skip`: a prefix of the sorted CSR row.
 std::vector<NodeId> CappedSortedNeighbors(const CsrGraph& g, NodeId u,
                                           NodeId skip, size_t cap) {
   std::vector<NodeId> out;
@@ -39,9 +21,36 @@ std::vector<NodeId> CappedSortedNeighbors(const CsrGraph& g, NodeId u,
   return out;
 }
 
-template <typename Graph>
-uint64_t SquaresThroughEdgeImpl(const Graph& g, NodeId u, NodeId v,
-                                size_t max_neighbors) {
+}  // namespace
+
+uint64_t TrianglesThroughEdge(const CsrGraph& g, NodeId u, NodeId v) {
+  return g.CommonNeighborCount(u, v);
+}
+
+uint64_t TrianglesAtNode(const CsrGraph& g, NodeId u) {
+  // Sum over incident edges of common-neighbor counts double-counts each
+  // triangle at u exactly twice (once per incident edge).
+  uint64_t twice = 0;
+  for (NodeId v : g.Neighbors(u)) {
+    twice += TrianglesThroughEdge(g, u, v);
+  }
+  return twice / 2;
+}
+
+uint64_t WedgesAtNode(const CsrGraph& g, NodeId u) {
+  uint64_t d = g.Degree(u);
+  return d * (d - 1) / 2;
+}
+
+double ClusteringCoefficient(const CsrGraph& g, NodeId u) {
+  uint64_t wedges = WedgesAtNode(g, u);
+  if (wedges == 0) return 0.0;
+  return static_cast<double>(TrianglesAtNode(g, u)) /
+         static_cast<double>(wedges);
+}
+
+uint64_t SquaresThroughEdge(const CsrGraph& g, NodeId u, NodeId v,
+                            size_t max_neighbors) {
   std::vector<NodeId> nu = CappedSortedNeighbors(g, u, v, max_neighbors);
   std::vector<NodeId> nv = CappedSortedNeighbors(g, v, u, max_neighbors);
   // A square u-x-y-v-u needs x in N(u), y in N(v), edge (x,y), x != y.
@@ -53,69 +62,6 @@ uint64_t SquaresThroughEdgeImpl(const Graph& g, NodeId u, NodeId v,
     }
   }
   return squares;
-}
-
-}  // namespace
-
-uint64_t TrianglesThroughEdge(const ProjectedGraph& g, NodeId u, NodeId v) {
-  return g.CommonNeighbors(u, v).size();
-}
-
-uint64_t TrianglesThroughEdge(const CsrGraph& g, NodeId u, NodeId v) {
-  return g.CommonNeighborCount(u, v);
-}
-
-uint64_t TrianglesAtNode(const ProjectedGraph& g, NodeId u) {
-  // Sum over incident edges of common-neighbor counts double-counts each
-  // triangle at u exactly twice (once per incident edge).
-  uint64_t twice = 0;
-  for (const auto& [v, w] : g.Neighbors(u)) {
-    (void)w;
-    twice += TrianglesThroughEdge(g, u, v);
-  }
-  return twice / 2;
-}
-
-uint64_t TrianglesAtNode(const CsrGraph& g, NodeId u) {
-  uint64_t twice = 0;
-  for (NodeId v : g.Neighbors(u)) {
-    twice += TrianglesThroughEdge(g, u, v);
-  }
-  return twice / 2;
-}
-
-uint64_t WedgesAtNode(const ProjectedGraph& g, NodeId u) {
-  uint64_t d = g.Degree(u);
-  return d * (d - 1) / 2;
-}
-
-uint64_t WedgesAtNode(const CsrGraph& g, NodeId u) {
-  uint64_t d = g.Degree(u);
-  return d * (d - 1) / 2;
-}
-
-double ClusteringCoefficient(const ProjectedGraph& g, NodeId u) {
-  uint64_t wedges = WedgesAtNode(g, u);
-  if (wedges == 0) return 0.0;
-  return static_cast<double>(TrianglesAtNode(g, u)) /
-         static_cast<double>(wedges);
-}
-
-double ClusteringCoefficient(const CsrGraph& g, NodeId u) {
-  uint64_t wedges = WedgesAtNode(g, u);
-  if (wedges == 0) return 0.0;
-  return static_cast<double>(TrianglesAtNode(g, u)) /
-         static_cast<double>(wedges);
-}
-
-uint64_t SquaresThroughEdge(const ProjectedGraph& g, NodeId u, NodeId v,
-                            size_t max_neighbors) {
-  return SquaresThroughEdgeImpl(g, u, v, max_neighbors);
-}
-
-uint64_t SquaresThroughEdge(const CsrGraph& g, NodeId u, NodeId v,
-                            size_t max_neighbors) {
-  return SquaresThroughEdgeImpl(g, u, v, max_neighbors);
 }
 
 }  // namespace marioh::core

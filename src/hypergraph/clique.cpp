@@ -413,76 +413,10 @@ class BitsetBronKerbosch {
   std::vector<uint64_t>* words_;
 };
 
-/// Reference Bron–Kerbosch over the hash-map adjacency (sequential). The
-/// growing clique is pushed/popped at the tail and sorted only on
-/// emission.
-class HashMapBronKerbosch {
- public:
-  HashMapBronKerbosch(const ProjectedGraph& g, const CliqueOptions& options,
-                      std::vector<NodeSet>* out)
-      : g_(g), options_(options), out_(out) {}
+}  // namespace
 
-  void Expand(NodeSet* r, std::vector<NodeId> p, std::vector<NodeId> x) {
-    if (out_->size() >= options_.max_cliques) return;
-    if (p.empty() && x.empty()) {
-      if (r->size() >= options_.min_size) {
-        out_->push_back(*r);
-        std::sort(out_->back().begin(), out_->back().end());
-      }
-      return;
-    }
-    // Pivot: the vertex of p ∪ x with the most neighbors in p.
-    NodeId pivot = 0;
-    size_t best = 0;
-    bool have_pivot = false;
-    auto consider = [&](NodeId cand) {
-      size_t cnt = 0;
-      for (NodeId w : p) {
-        if (g_.HasEdge(cand, w)) ++cnt;
-      }
-      if (!have_pivot || cnt > best) {
-        pivot = cand;
-        best = cnt;
-        have_pivot = true;
-      }
-    };
-    for (NodeId cand : p) consider(cand);
-    for (NodeId cand : x) consider(cand);
-
-    std::vector<NodeId> candidates;
-    for (NodeId v : p) {
-      if (!g_.HasEdge(pivot, v)) candidates.push_back(v);
-    }
-    for (NodeId v : candidates) {
-      std::vector<NodeId> p2, x2;
-      for (NodeId w : p) {
-        if (g_.HasEdge(v, w)) p2.push_back(w);
-      }
-      for (NodeId w : x) {
-        if (g_.HasEdge(v, w)) x2.push_back(w);
-      }
-      r->push_back(v);
-      Expand(r, std::move(p2), std::move(x2));
-      r->pop_back();
-      // Move v from p to x.
-      p.erase(std::find(p.begin(), p.end(), v));
-      x.insert(std::lower_bound(x.begin(), x.end(), v), v);
-      if (out_->size() >= options_.max_cliques) return;
-    }
-  }
-
- private:
-  const ProjectedGraph& g_;
-  const CliqueOptions& options_;
-  std::vector<NodeSet>* out_;
-};
-
-/// Shared degeneracy-ordering body; `for_each` adapts the two adjacency
-/// representations (hash map vs CSR) to a common neighbor iteration.
-template <typename Graph, typename ForEachNeighbor>
-std::vector<NodeId> DegeneracyOrderingImpl(const Graph& g,
-                                           size_t* degeneracy,
-                                           ForEachNeighbor&& for_each) {
+std::vector<NodeId> DegeneracyOrdering(const CsrGraph& g,
+                                       size_t* degeneracy) {
   const size_t n = g.num_nodes();
   std::vector<size_t> deg(n);
   size_t max_deg = 0;
@@ -510,35 +444,16 @@ std::vector<NodeId> DegeneracyOrderingImpl(const Graph& g,
     removed[u] = true;
     order.push_back(u);
     degen = std::max(degen, cursor);
-    for_each(u, [&](NodeId v) {
+    for (NodeId v : g.Neighbors(u)) {
       if (!removed[v] && deg[v] > 0) {
         --deg[v];
         buckets[deg[v]].push_back(v);
         if (deg[v] < cursor) cursor = deg[v];
       }
-    });
+    }
   }
   if (degeneracy != nullptr) *degeneracy = degen;
   return order;
-}
-
-}  // namespace
-
-std::vector<NodeId> DegeneracyOrdering(const ProjectedGraph& g,
-                                       size_t* degeneracy) {
-  return DegeneracyOrderingImpl(g, degeneracy, [&g](NodeId u, auto&& fn) {
-    for (const auto& [v, w] : g.Neighbors(u)) {
-      (void)w;
-      fn(v);
-    }
-  });
-}
-
-std::vector<NodeId> DegeneracyOrdering(const CsrGraph& g,
-                                       size_t* degeneracy) {
-  return DegeneracyOrderingImpl(g, degeneracy, [&g](NodeId u, auto&& fn) {
-    for (NodeId v : g.Neighbors(u)) fn(v);
-  });
 }
 
 MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
@@ -717,64 +632,6 @@ MaximalCliqueResult EnumerateMaximalCliques(const ProjectedGraph& g,
                                             const CliqueOptions& options) {
   CsrGraph csr(g, options.num_threads);
   return EnumerateMaximalCliques(csr, options);
-}
-
-std::vector<NodeSet> MaximalCliquesHashMapReference(
-    const ProjectedGraph& g, const CliqueOptions& options) {
-  std::vector<NodeSet> out;
-  const size_t n = g.num_nodes();
-  if (n == 0) return out;
-  std::vector<NodeId> order = DegeneracyOrdering(g, nullptr);
-  std::vector<size_t> pos(n);
-  for (size_t i = 0; i < n; ++i) pos[order[i]] = i;
-
-  HashMapBronKerbosch bk(g, options, &out);
-  for (size_t i = 0; i < n; ++i) {
-    NodeId v = order[i];
-    if (g.Degree(v) == 0) continue;
-    std::vector<NodeId> p, x;
-    for (const auto& [w, wt] : g.Neighbors(v)) {
-      (void)wt;
-      if (pos[w] > i) {
-        p.push_back(w);
-      } else {
-        x.push_back(w);
-      }
-    }
-    std::sort(p.begin(), p.end());
-    std::sort(x.begin(), x.end());
-    NodeSet r = {v};
-    bk.Expand(&r, std::move(p), std::move(x));
-    if (out.size() >= options.max_cliques) break;
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-NodeSet GreedyCliqueAround(const ProjectedGraph& g, NodeId seed) {
-  NodeSet clique = {seed};
-  // Candidates sorted by descending degree for a large greedy clique.
-  std::vector<NodeId> cands;
-  for (const auto& [v, w] : g.Neighbors(seed)) {
-    (void)w;
-    cands.push_back(v);
-  }
-  std::sort(cands.begin(), cands.end(), [&](NodeId a, NodeId b) {
-    size_t da = g.Degree(a), db = g.Degree(b);
-    return da != db ? da > db : a < b;
-  });
-  for (NodeId v : cands) {
-    bool ok = true;
-    for (NodeId u : clique) {
-      if (!g.HasEdge(u, v)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) clique.push_back(v);
-  }
-  Canonicalize(&clique);
-  return clique;
 }
 
 }  // namespace marioh

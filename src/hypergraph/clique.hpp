@@ -5,14 +5,16 @@
 /// paper ("the same maximal clique detection algorithm was used across all
 /// methods").
 ///
-/// The fast path runs on an immutable `CsrGraph` snapshot: the outer
-/// degeneracy-ordered roots are independent subproblems fanned out with
-/// `util::ParallelFor`, each worker appending its cliques to a per-range
-/// `CliqueStore` sub-arena. Sub-arenas are concatenated in root order and
-/// the result sorted, so the output is identical for any thread count (the
-/// determinism contract of docs/ARCHITECTURE.md). Cliques live in one flat
-/// arena — enumeration performs no per-clique allocation, and consumers
-/// read them as `CliqueView` spans.
+/// Enumeration runs on an immutable `CsrGraph` snapshot, the one graph
+/// type the read-only kernels accept; the `ProjectedGraph` overload only
+/// snapshots and forwards. The outer degeneracy-ordered roots are
+/// independent subproblems fanned out with `util::ParallelFor`, each
+/// worker appending its cliques to a per-range `CliqueStore` sub-arena.
+/// Sub-arenas are concatenated in root order and the result sorted, so the
+/// output is identical for any thread count (the determinism contract of
+/// docs/ARCHITECTURE.md). Cliques live in one flat arena — enumeration
+/// performs no per-clique allocation, and consumers read them as
+/// `CliqueView` spans.
 
 #pragma once
 
@@ -170,29 +172,15 @@ struct MaximalCliqueResult {
 MaximalCliqueResult EnumerateMaximalCliques(const CsrGraph& g,
                                             const CliqueOptions& options = {});
 
-/// Convenience: snapshots `g` and enumerates on the CSR fast path.
+/// Convenience for callers holding only the mutable graph: snapshots `g`
+/// and forwards to the overload above.
 MaximalCliqueResult EnumerateMaximalCliques(const ProjectedGraph& g,
                                             const CliqueOptions& options = {});
 
-/// Reference enumeration over the mutable hash-map adjacency, sequential.
-/// Kept as the equivalence-test oracle and the hashmap side of the
-/// CSR-vs-hashmap microbenchmarks; produces the same sorted clique set as
-/// the CSR fast path (up to which subset survives truncation).
-std::vector<NodeSet> MaximalCliquesHashMapReference(
-    const ProjectedGraph& g, const CliqueOptions& options = {});
-
-/// Degeneracy ordering of `g`: repeatedly removes a minimum-degree node.
-/// Returns the removal order; `degeneracy` (optional) receives the graph
-/// degeneracy.
-std::vector<NodeId> DegeneracyOrdering(const ProjectedGraph& g,
-                                       size_t* degeneracy = nullptr);
-
-/// Degeneracy ordering computed on a CSR snapshot.
+/// Degeneracy ordering of the snapshot `g`: repeatedly removes a
+/// minimum-degree node. Returns the removal order; `degeneracy`
+/// (optional) receives the graph degeneracy.
 std::vector<NodeId> DegeneracyOrdering(const CsrGraph& g,
                                        size_t* degeneracy = nullptr);
-
-/// Finds one maximum-cardinality clique containing `seed` greedily (used by
-/// baselines); returns just `{seed}` if the node is isolated.
-NodeSet GreedyCliqueAround(const ProjectedGraph& g, NodeId seed);
 
 }  // namespace marioh

@@ -1,13 +1,15 @@
 /// \file csr.hpp
 /// \brief Immutable CSR (compressed sparse row) snapshot of a projected
 /// graph: cache-friendly sorted neighbor ranges, O(log d) adjacency tests,
-/// and fast sorted-merge common-neighbor iteration. This is the read path
-/// of the reconstruction loop's snapshot-then-peel pattern (see
-/// docs/ARCHITECTURE.md "The hot path"): every iteration freezes the
-/// mutable hash-map `ProjectedGraph` into a `CsrGraph`, runs the read-heavy
-/// kernels (maximal-clique enumeration, MHH, feature extraction) on the
-/// snapshot — in parallel, since it never changes — and then applies the
-/// accepted peels back to the mutable graph.
+/// and fast sorted-merge common-neighbor iteration. It is the only graph
+/// type the read-only kernels accept (maximal-clique enumeration,
+/// degeneracy ordering, MHH, motif statistics, feature extraction,
+/// scoring); the mutable hash-map `ProjectedGraph` is only peeled and
+/// snapshotted. The reconstruction loop follows a snapshot-then-peel
+/// pattern (see docs/ARCHITECTURE.md "The hot path"): it runs the
+/// read-heavy kernels on the frozen snapshot — in parallel, since it never
+/// changes — applies the accepted peels to the mutable graph, and patches
+/// the snapshot's touched rows.
 
 #pragma once
 

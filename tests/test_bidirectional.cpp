@@ -7,6 +7,7 @@
 #include "core/bidirectional.hpp"
 #include "core/classifier.hpp"
 #include "hypergraph/clique.hpp"
+#include "hypergraph/csr.hpp"
 #include "gen/profiles.hpp"
 #include "gen/split.hpp"
 #include "util/rng.hpp"
@@ -146,15 +147,64 @@ TEST_F(BidirectionalTest, WeightConservation) {
 }
 
 TEST_F(BidirectionalTest, DeterministicGivenSeed) {
+  // The same seed gives the same iteration for any thread count:
+  // enumeration and both scoring phases fan out with util::ParallelFor.
   BidirectionalOptions options;
   options.theta = 0.5;
   ProjectedGraph g1 = *g_target_;
-  ProjectedGraph g2 = *g_target_;
-  Hypergraph h1(g1.num_nodes()), h2(g2.num_nodes());
-  util::Rng r1(13), r2(13);
-  BidirectionalSearch(&g1, *classifier_, options, &r1, &h1);
-  BidirectionalSearch(&g2, *classifier_, options, &r2, &h2);
-  EXPECT_EQ(h1.UniqueEdges(), h2.UniqueEdges());
+  Hypergraph h1(g1.num_nodes());
+  util::Rng r1(13);
+  BidirectionalStats s1 =
+      BidirectionalSearch(&g1, *classifier_, options, &r1, &h1);
+  EXPECT_GT(s1.subcliques_scored, 0u);
+  for (int threads : {1, 4}) {
+    options.num_threads = threads;
+    ProjectedGraph g = *g_target_;
+    Hypergraph h(g.num_nodes());
+    util::Rng r(13);
+    BidirectionalStats s =
+        BidirectionalSearch(&g, *classifier_, options, &r, &h);
+    EXPECT_EQ(h.edges(), h1.edges()) << "threads=" << threads;
+    EXPECT_EQ(s.maximal_cliques, s1.maximal_cliques);
+    EXPECT_EQ(s.accepted_phase1, s1.accepted_phase1);
+    EXPECT_EQ(s.accepted_phase2, s1.accepted_phase2);
+    EXPECT_EQ(s.subcliques_scored, s1.subcliques_scored);
+    EXPECT_EQ(s.cliques_truncated, s1.cliques_truncated);
+    EXPECT_EQ(s.cancelled, s1.cancelled);
+    EXPECT_EQ(s.touched_nodes, s1.touched_nodes);
+  }
+}
+
+TEST_F(BidirectionalTest, Phase2ScoresSubcliquesOnTheResidualGraph) {
+  // Phase 1 draws nothing from the rng, so a run without Phase 2 leaves
+  // the graph exactly as Phase 1 leaves it inside a full run. Every
+  // sub-clique Phase 2 accepts must clear theta on that residual graph.
+  size_t checked = 0;
+  for (double theta : {0.2, 0.3, 0.4, 0.5, 0.6}) {
+    BidirectionalOptions options;
+    options.theta = theta;
+    options.r_percent = 100.0;
+    options.explore_subcliques = false;
+    ProjectedGraph residual = *g_target_;
+    Hypergraph h_phase1(residual.num_nodes());
+    util::Rng r1(17);
+    BidirectionalSearch(&residual, *classifier_, options, &r1, &h_phase1);
+
+    options.explore_subcliques = true;
+    ProjectedGraph g = *g_target_;
+    Hypergraph h(g.num_nodes());
+    util::Rng r2(17);
+    BidirectionalSearch(&g, *classifier_, options, &r2, &h);
+    const CsrGraph after_phase1(residual);
+    for (const auto& [e, m] : h.edges()) {
+      (void)m;
+      if (h_phase1.edges().count(e) > 0) continue;
+      ++checked;
+      EXPECT_GT(classifier_->Score(after_phase1, e, /*is_maximal=*/false),
+                theta);
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST_F(BidirectionalTest, EmptyGraphIsNoOp) {

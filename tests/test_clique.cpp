@@ -1,5 +1,6 @@
 // Unit + property tests for maximal-clique enumeration and degeneracy
-// ordering.
+// ordering on CSR snapshots, checked against hand-counted graphs and the
+// test-side hash-map Bron–Kerbosch oracle.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +8,11 @@
 #include <set>
 
 #include "hypergraph/clique.hpp"
+#include "hypergraph/csr.hpp"
 #include "hypergraph/projected_graph.hpp"
 #include "util/rng.hpp"
+
+#include "clique_oracle.hpp"
 
 namespace marioh {
 namespace {
@@ -25,7 +29,7 @@ ProjectedGraph CompleteGraph(size_t n) {
 /// assertions (production code consumes the arena views directly).
 std::vector<NodeSet> MaximalCliqueSets(const ProjectedGraph& g,
                                        const CliqueOptions& options = {}) {
-  return EnumerateMaximalCliques(g, options).cliques.ToNodeSets();
+  return EnumerateMaximalCliques(CsrGraph(g), options).cliques.ToNodeSets();
 }
 
 TEST(MaximalCliques, EmptyGraph) {
@@ -91,10 +95,11 @@ TEST(MaximalCliques, TruncationIsReported) {
   for (NodeId u = 0; u < 8; u += 2) g.AddWeight(u, u + 1, 1);
   CliqueOptions options;
   options.max_cliques = 2;
-  MaximalCliqueResult capped = EnumerateMaximalCliques(g, options);
+  CsrGraph csr(g);
+  MaximalCliqueResult capped = EnumerateMaximalCliques(csr, options);
   EXPECT_TRUE(capped.truncated);
   EXPECT_EQ(capped.cliques.size(), 2u);
-  MaximalCliqueResult full = EnumerateMaximalCliques(g);
+  MaximalCliqueResult full = EnumerateMaximalCliques(csr);
   EXPECT_FALSE(full.truncated);
   EXPECT_EQ(full.cliques.size(), 4u);
 }
@@ -104,7 +109,7 @@ TEST(MaximalCliques, ExactCapIsNotTruncation) {
   for (NodeId u = 0; u < 4; u += 2) g.AddWeight(u, u + 1, 1);
   CliqueOptions options;
   options.max_cliques = 2;  // exactly the number of maximal cliques
-  MaximalCliqueResult result = EnumerateMaximalCliques(g, options);
+  MaximalCliqueResult result = EnumerateMaximalCliques(CsrGraph(g), options);
   EXPECT_FALSE(result.truncated);
   EXPECT_EQ(result.cliques.size(), 2u);
 }
@@ -196,9 +201,10 @@ TEST(CliqueStore, ArenaMatchesHashMapReferenceOnRandomGraphs) {
         if (rng.Bernoulli(0.3)) g.AddWeight(u, v, 1);
       }
     }
-    MaximalCliqueResult result = EnumerateMaximalCliques(g);
+    MaximalCliqueResult result = EnumerateMaximalCliques(CsrGraph(g));
     EXPECT_FALSE(result.truncated);
-    EXPECT_EQ(result.cliques.ToNodeSets(), MaximalCliquesHashMapReference(g))
+    EXPECT_EQ(result.cliques.ToNodeSets(),
+              testing_oracle::MaximalCliquesHashMapReference(g))
         << "seed=" << seed;
   }
 }
@@ -207,7 +213,7 @@ TEST(DegeneracyOrdering, PathGraphHasDegeneracyOne) {
   ProjectedGraph g(5);
   for (NodeId u = 0; u + 1 < 5; ++u) g.AddWeight(u, u + 1, 1);
   size_t degeneracy = 99;
-  std::vector<NodeId> order = DegeneracyOrdering(g, &degeneracy);
+  std::vector<NodeId> order = DegeneracyOrdering(CsrGraph(g), &degeneracy);
   EXPECT_EQ(order.size(), 5u);
   EXPECT_EQ(degeneracy, 1u);
   std::set<NodeId> distinct(order.begin(), order.end());
@@ -217,22 +223,8 @@ TEST(DegeneracyOrdering, PathGraphHasDegeneracyOne) {
 TEST(DegeneracyOrdering, CompleteGraphDegeneracy) {
   ProjectedGraph g = CompleteGraph(6);
   size_t degeneracy = 0;
-  DegeneracyOrdering(g, &degeneracy);
+  DegeneracyOrdering(CsrGraph(g), &degeneracy);
   EXPECT_EQ(degeneracy, 5u);
-}
-
-TEST(GreedyCliqueAround, FindsTriangle) {
-  ProjectedGraph g(4);
-  g.AddWeight(0, 1, 1);
-  g.AddWeight(0, 2, 1);
-  g.AddWeight(1, 2, 1);
-  NodeSet clique = GreedyCliqueAround(g, 0);
-  EXPECT_EQ(clique, (NodeSet{0, 1, 2}));
-}
-
-TEST(GreedyCliqueAround, IsolatedNode) {
-  ProjectedGraph g(3);
-  EXPECT_EQ(GreedyCliqueAround(g, 1), (NodeSet{1}));
 }
 
 // Property test: on random graphs, every enumerated clique is (a) a clique

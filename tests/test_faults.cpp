@@ -82,15 +82,15 @@ eval::PreparedDataset TrainHeavyDataset() {
                               /*seed=*/1);
 }
 
-/// Wall time of a MARIOH Session's train stage alone on `data`, the
+/// Wall time of a `method` Session's train stage alone on `data`, the
 /// faster of two runs — the separately measured reference those tests
 /// scale by.
-double MeasureTrainSeconds(const eval::PreparedDataset& data,
-                           uint64_t seed) {
+double MeasureTrainSeconds(const eval::PreparedDataset& data, uint64_t seed,
+                           const std::string& method = "MARIOH") {
   double best = 0.0;
   for (int run = 0; run < 2; ++run) {
     api::SessionOptions options;
-    options.method = "MARIOH";
+    options.method = method;
     options.seed = seed;
     api::Session session;
     EXPECT_TRUE(session.Configure(options).ok());
@@ -429,33 +429,39 @@ TEST_F(FaultsTest, WatchdogLeavesALongTrainStageAlone) {
 TEST_F(FaultsTest, CancelDuringTrainLandsBeforeTrainingWouldEnd) {
   eval::PreparedDataset data = TrainHeavyDataset();
   std::shared_ptr<DatasetCache> cache = CacheWith("pschool", data);
-  const double train_seconds = MeasureTrainSeconds(data, /*seed=*/3);
-  Service service(cache, ServiceOptions{});
+  // SHyRe-Count trains the same classifier on structural features.
+  for (const std::string method : {"MARIOH", "SHyRe-Count"}) {
+    SCOPED_TRACE(method);
+    const double train_seconds = MeasureTrainSeconds(data, /*seed=*/3, method);
+    Service service(cache, ServiceOptions{});
 
-  auto t0 = std::chrono::steady_clock::now();
-  StatusOr<JobId> id = service.Submit(MariohOn("pschool", /*seed=*/3));
-  ASSERT_TRUE(id.ok());
-  while (service.Poll(*id)->state == JobState::kQueued) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ReconstructRequest request = MariohOn("pschool", /*seed=*/3);
+    request.method = method;
+    auto t0 = std::chrono::steady_clock::now();
+    StatusOr<JobId> id = service.Submit(request);
+    ASSERT_TRUE(id.ok());
+    while (service.Poll(*id)->state == JobState::kQueued) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // An eighth of the way into training: the stages before it take a
+    // few milliseconds.
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(train_seconds / 8.0));
+    ASSERT_TRUE(service.Cancel(*id).ok());
+    StatusOr<JobSnapshot> job = service.Wait(*id);
+    double elapsed = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+
+    ASSERT_TRUE(job.ok());
+    EXPECT_EQ(job->state, JobState::kCancelled) << job->status.ToString();
+    EXPECT_NE(job->status.message().find("during stage 'train'"),
+              std::string::npos)
+        << job->status.ToString();
+    EXPECT_LT(elapsed, train_seconds / 2.0)
+        << "train alone took " << train_seconds << "s";
+    ExpectPartitionHolds(service.stats());
   }
-  // An eighth of the way into training: the stages before it take a
-  // few milliseconds.
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(train_seconds / 8.0));
-  ASSERT_TRUE(service.Cancel(*id).ok());
-  StatusOr<JobSnapshot> job = service.Wait(*id);
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-
-  ASSERT_TRUE(job.ok());
-  EXPECT_EQ(job->state, JobState::kCancelled) << job->status.ToString();
-  EXPECT_NE(job->status.message().find("during stage 'train'"),
-            std::string::npos)
-      << job->status.ToString();
-  EXPECT_LT(elapsed, train_seconds / 2.0)
-      << "train alone took " << train_seconds << "s";
-  ExpectPartitionHolds(service.stats());
 }
 
 // ---------------------------------------------------------------------

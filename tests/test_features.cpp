@@ -1,9 +1,11 @@
-// Unit tests for the clique feature extraction (Sect. III-D): dimensions,
-// specific feature values on hand-computed graphs, and both feature modes.
+// Unit tests for the clique feature extraction (Sect. III-D) on CSR
+// snapshots: dimensions, specific feature values on hand-computed graphs,
+// and both feature modes.
 
 #include <gtest/gtest.h>
 
 #include "core/features.hpp"
+#include "hypergraph/csr.hpp"
 #include "hypergraph/hypergraph.hpp"
 
 namespace marioh::core {
@@ -11,7 +13,7 @@ namespace {
 
 /// Triangle 0-1-2 with weights w(0,1)=2, w(0,2)=1, w(1,2)=3, plus a
 /// pendant edge 2-3 with weight 4.
-ProjectedGraph FixtureGraph() {
+ProjectedGraph FixtureProjected() {
   ProjectedGraph g(4);
   g.AddWeight(0, 1, 2);
   g.AddWeight(0, 2, 1);
@@ -20,10 +22,12 @@ ProjectedGraph FixtureGraph() {
   return g;
 }
 
+CsrGraph FixtureGraph() { return CsrGraph(FixtureProjected()); }
+
 TEST(FeatureExtractor, MultiplicityAwareDimension) {
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
   EXPECT_EQ(fx.dim(), 23u);
-  ProjectedGraph g = FixtureGraph();
+  CsrGraph g = FixtureGraph();
   la::Vector f = fx.Extract(g, NodeSet{0, 1, 2}, true);
   EXPECT_EQ(f.size(), 23u);
 }
@@ -31,13 +35,13 @@ TEST(FeatureExtractor, MultiplicityAwareDimension) {
 TEST(FeatureExtractor, StructuralDimension) {
   FeatureExtractor fx(FeatureMode::kStructural);
   EXPECT_EQ(fx.dim(), 13u);
-  ProjectedGraph g = FixtureGraph();
+  CsrGraph g = FixtureGraph();
   la::Vector f = fx.Extract(g, NodeSet{0, 1}, false);
   EXPECT_EQ(f.size(), 13u);
 }
 
 TEST(FeatureExtractor, WeightedDegreeAggregation) {
-  ProjectedGraph g = FixtureGraph();
+  CsrGraph g = FixtureGraph();
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
   la::Vector f = fx.Extract(g, NodeSet{0, 1, 2}, true);
   // Weighted degrees: node0 = 2+1 = 3, node1 = 2+3 = 5, node2 = 1+3+4 = 8.
@@ -48,7 +52,7 @@ TEST(FeatureExtractor, WeightedDegreeAggregation) {
 }
 
 TEST(FeatureExtractor, EdgeMultiplicityAggregation) {
-  ProjectedGraph g = FixtureGraph();
+  CsrGraph g = FixtureGraph();
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
   la::Vector f = fx.Extract(g, NodeSet{0, 1, 2}, true);
   // Edge multiplicities within the clique: 2, 1, 3.
@@ -59,7 +63,7 @@ TEST(FeatureExtractor, EdgeMultiplicityAggregation) {
 }
 
 TEST(FeatureExtractor, MhhFeatures) {
-  ProjectedGraph g = FixtureGraph();
+  CsrGraph g = FixtureGraph();
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
   la::Vector f = fx.Extract(g, NodeSet{0, 1, 2}, true);
   // MHH within the triangle: MHH(0,1) = min(w(0,2), w(1,2)) = min(1,3) = 1;
@@ -74,7 +78,7 @@ TEST(FeatureExtractor, MhhFeatures) {
 }
 
 TEST(FeatureExtractor, CliqueLevelFeatures) {
-  ProjectedGraph g = FixtureGraph();
+  CsrGraph g = FixtureGraph();
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
   la::Vector f = fx.Extract(g, NodeSet{0, 1, 2}, true);
   EXPECT_DOUBLE_EQ(f[20], 3.0);  // clique size
@@ -87,7 +91,7 @@ TEST(FeatureExtractor, CliqueLevelFeatures) {
 }
 
 TEST(FeatureExtractor, Size2CliqueHasOneEdge) {
-  ProjectedGraph g = FixtureGraph();
+  CsrGraph g = FixtureGraph();
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
   la::Vector f = fx.Extract(g, NodeSet{2, 3}, true);
   // Only edge (2,3) with weight 4; min == max == mean == 4.
@@ -99,7 +103,7 @@ TEST(FeatureExtractor, Size2CliqueHasOneEdge) {
 }
 
 TEST(FeatureExtractor, StructuralUsesUnweightedDegrees) {
-  ProjectedGraph g = FixtureGraph();
+  CsrGraph g = FixtureGraph();
   FeatureExtractor fx(FeatureMode::kStructural);
   la::Vector f = fx.Extract(g, NodeSet{0, 1, 2}, true);
   // Unweighted degrees: 2, 2, 3 -> sum 7.
@@ -111,11 +115,11 @@ TEST(FeatureExtractor, StructuralUsesUnweightedDegrees) {
 TEST(FeatureExtractor, FeaturesChangeWhenGraphShrinks) {
   // Features must be recomputed against the residual graph: peeling an
   // overlapping clique changes the features of the remaining one.
-  ProjectedGraph g = FixtureGraph();
+  ProjectedGraph g = FixtureProjected();
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
-  la::Vector before = fx.Extract(g, NodeSet{0, 1, 2}, true);
+  la::Vector before = fx.Extract(CsrGraph(g), NodeSet{0, 1, 2}, true);
   g.PeelClique(NodeSet{1, 2});  // decrement w(1,2)
-  la::Vector after = fx.Extract(g, NodeSet{0, 1, 2}, true);
+  la::Vector after = fx.Extract(CsrGraph(g), NodeSet{0, 1, 2}, true);
   EXPECT_NE(before[5], after[5]);  // edge multiplicity sum changed
 }
 
@@ -125,8 +129,26 @@ TEST(FeatureExtractor, IsolatedCliqueCutRatioIsOne) {
   g.AddWeight(0, 2, 1);
   g.AddWeight(1, 2, 1);
   FeatureExtractor fx(FeatureMode::kMultiplicityAware);
-  la::Vector f = fx.Extract(g, NodeSet{0, 1, 2}, true);
+  la::Vector f = fx.Extract(CsrGraph(g), NodeSet{0, 1, 2}, true);
   EXPECT_DOUBLE_EQ(f[21], 1.0);  // all weight internal
+}
+
+TEST(FeatureExtractor, NeighborhoodDensityKeepsTheSmallestIdsOfAHub) {
+  // Hub 0 with 100 neighbors 1..100, one extra low edge (1,2) and a
+  // 10-clique on 91..100. The density pass gathers at most 64 node ids:
+  // the clique {0, 1}, then the hub's neighbors in ascending id order
+  // (1, 2, ..., 62), so the deduplicated neighborhood is {0, ..., 62}.
+  ProjectedGraph g(101);
+  for (NodeId v = 1; v <= 100; ++v) g.AddWeight(0, v, 1);
+  g.AddWeight(1, 2, 1);
+  for (NodeId u = 91; u <= 100; ++u) {
+    for (NodeId v = u + 1; v <= 100; ++v) g.AddWeight(u, v, 1);
+  }
+  FeatureExtractor fx(FeatureMode::kStructural);
+  la::Vector f = fx.Extract(CsrGraph(g), NodeSet{0, 1}, true);
+  // 63 nodes -> 1953 pairs; present: the 62 hub edges plus (1,2). The
+  // uncapped neighborhood would give (100 + 1 + 45) / 5050 instead.
+  EXPECT_DOUBLE_EQ(f[10], 63.0 / 1953.0);
 }
 
 }  // namespace

@@ -48,9 +48,10 @@ TEST(CliqueClassifier, TrainsAndScoresInUnitInterval) {
   auto [pos, neg] = classifier.train_counts();
   EXPECT_GT(pos, 0u);
   EXPECT_GT(neg, 0u);
+  const CsrGraph snapshot(fx.g_source);
   for (const auto& [e, m] : fx.source.edges()) {
     (void)m;
-    double s = classifier.Score(fx.g_source, e, false);
+    double s = classifier.Score(snapshot, e, false);
     EXPECT_GE(s, 0.0);
     EXPECT_LE(s, 1.0);
   }
@@ -61,11 +62,12 @@ TEST(CliqueClassifier, PositivesScoreHigherThanRandomPairsOnAverage) {
   CliqueClassifier classifier(FeatureMode::kMultiplicityAware, {});
   util::Rng rng(4);
   classifier.Train(fx.g_source, fx.source, &rng);
+  const CsrGraph snapshot(fx.g_source);
   double pos_mean = 0.0;
   size_t pos_n = 0;
   for (const auto& [e, m] : fx.source.edges()) {
     (void)m;
-    pos_mean += classifier.Score(fx.g_source, e, false);
+    pos_mean += classifier.Score(snapshot, e, false);
     ++pos_n;
   }
   pos_mean /= static_cast<double>(pos_n);
@@ -95,11 +97,12 @@ TEST(CliqueClassifier, HardNegativeSamplingTrainsAndScores) {
   EXPECT_TRUE(classifier.trained());
   EXPECT_GT(classifier.train_counts().second, 0u);
   // Positives must still dominate random pairs on average.
+  const CsrGraph snapshot(fx.g_source);
   double pos_mean = 0.0;
   size_t n = 0;
   for (const auto& [e, m] : fx.source.edges()) {
     (void)m;
-    pos_mean += classifier.Score(fx.g_source, e, false);
+    pos_mean += classifier.Score(snapshot, e, false);
     ++n;
   }
   EXPECT_GT(pos_mean / static_cast<double>(n), 0.5);
