@@ -26,11 +26,10 @@
 // current directory.
 
 #include <iostream>
-#include <memory>
+#include <utility>
 #include <string>
 #include <vector>
 
-#include "api/dataset_cache.hpp"
 #include "api/registry.hpp"
 #include "api/session.hpp"
 #include "gen/profiles.hpp"
@@ -63,10 +62,6 @@ int Run(const std::string& train_path, const std::string& target_path,
   using marioh::api::Session;
   using marioh::api::Status;
 
-  // Route the file loads through a DatasetCache: a single CLI run loads
-  // each path once, and the same wiring scales to N sessions sharing one
-  // process-wide cache (see api/dataset_cache.hpp and marioh_serve).
-  options.cache = std::make_shared<marioh::api::DatasetCache>();
   Session session;
   if (Status status = session.Configure(std::move(options)); !status.ok()) {
     return Fail(status);

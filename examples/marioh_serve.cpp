@@ -23,9 +23,10 @@
 //   methods                         list registered method names
 //   submit key=value ...            submit a job; keys: method= train=
 //                                   target= truth= seed= budget=
-//                                   deadline= priority= client= kthreads=
+//                                   deadline= priority= client=
 //                                   retries= backoff= plus any
-//                                   session/method override (threads=,
+//                                   session/method override (threads=
+//                                   sets the job's kernel threads,
 //                                   theta_init=, ...). Responds `ok job N`.
 //   poll <id>                       non-blocking job state
 //   wait <id>                       block until the job finishes

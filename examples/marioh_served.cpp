@@ -41,7 +41,6 @@
 //                        let clients drive the `failpoints` verb (chaos
 //                        testing only — never on a shared server)
 //   --force-poll         use the portable poll(2) event-loop backend
-//                        (MARIOH_NET_FORCE_POLL=1 does the same)
 //
 // The first stdout line is `ok marioh_served port=<P> ...` so a launcher
 // binding port 0 can read the real port back. SIGINT/SIGTERM stop the

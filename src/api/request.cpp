@@ -1,7 +1,9 @@
 #include "api/request.hpp"
 
 #include <iomanip>
+#include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/parse.hpp"
@@ -13,10 +15,9 @@ namespace {
 /// The typed keys of the wire grammar, in serialization order. Anything
 /// else is an override key.
 constexpr const char* kTypedKeys[] = {
-    "method",   "train",    "target",       "truth",       "seed",
-    "budget",   "deadline", "priority",     "client",      "kthreads",
-    "retries",  "backoff",  "backoff_mult", "backoff_cap", "jitter",
-    "retryable"};
+    "method",  "train",        "target",      "truth",  "seed",
+    "budget",  "deadline",     "priority",    "client", "retries",
+    "backoff", "backoff_mult", "backoff_cap", "jitter", "retryable"};
 
 bool IsTypedKey(const std::string& key) {
   for (const char* typed : kTypedKeys) {
@@ -89,7 +90,10 @@ std::string SerializeReconstructRequest(const ReconstructRequest& request) {
   const ReconstructRequest defaults;
   std::ostringstream out;
   bool first = true;
-  auto emit = [&out, &first](const char* key, const std::string& value) {
+  // The key is a string_view, not a C string: an override key carrying a
+  // NUL byte must be written whole, or the journal would record a
+  // different request than the one accepted.
+  auto emit = [&out, &first](std::string_view key, const std::string& value) {
     if (!first) out << ' ';
     first = false;
     out << key << '=' << value;
@@ -115,9 +119,6 @@ std::string SerializeReconstructRequest(const ReconstructRequest& request) {
     emit("priority", PriorityName(request.priority));
   }
   if (!request.client_id.empty()) emit("client", request.client_id);
-  if (request.kernel_threads != defaults.kernel_threads) {
-    emit("kthreads", std::to_string(request.kernel_threads));
-  }
   if (request.retry.max_attempts > 1) {
     emit("retries", std::to_string(request.retry.max_attempts - 1));
   }
@@ -144,7 +145,7 @@ std::string SerializeReconstructRequest(const ReconstructRequest& request) {
     }
     emit("retryable", codes);
   }
-  for (const auto& [key, value] : request.overrides) emit(key.c_str(), value);
+  for (const auto& [key, value] : request.overrides) emit(key, value);
   return out.str();
 }
 
@@ -199,14 +200,12 @@ Status ParseReconstructRequest(const std::string& text,
       }
     } else if (key == "client") {
       request->client_id = value;
-    } else if (key == "kthreads") {
-      std::optional<int> threads = util::ParseNonNegativeInt(value);
-      bad_value = !threads.has_value();
-      if (!bad_value) request->kernel_threads = *threads;
     } else if (key == "retries") {
-      // retries=N grants N retries on top of the first attempt.
+      // retries=N grants N retries on top of the first attempt, so N
+      // must leave room for that one in an int.
       std::optional<int> retries = util::ParseNonNegativeInt(value);
-      bad_value = !retries.has_value();
+      bad_value = !retries.has_value() ||
+                  *retries == std::numeric_limits<int>::max();
       if (!bad_value) request->retry.max_attempts = 1 + *retries;
     } else if (key == "backoff") {
       std::optional<double> backoff = util::ParseDouble(value);

@@ -133,20 +133,13 @@ struct ReconstructRequest {
   /// order.
   std::string client_id;
 
-  /// Per-job thread budget for the reconstruction kernels' `ParallelFor`
-  /// fan-out: overrides the service-wide `MariohOptions::num_threads`
-  /// base when positive (0 keeps the base). Results are identical for
-  /// any value (the thread-count-invariance contract); only this job's
-  /// wall-clock and CPU share change.
-  int kernel_threads = 0;
-
   /// Retry policy for transient failures (see RetryPolicy). The default
   /// never retries.
   RetryPolicy retry;
 
   /// Session/method `key=value` overrides, applied through
-  /// `ApplySessionOverride` (so `threads=N`, `snapshot_reuse=0.3`,
-  /// `theta_init=0.8`, ... all work). The structural keys `method`,
+  /// `ApplySessionOverride` (so `threads=N` — the job's kernel thread
+  /// count — `theta_init=0.8`, ... all work). The structural keys `method`,
   /// `seed`, and `time_budget_seconds` are reserved — set the typed
   /// fields above instead; Submit rejects them with kInvalidArgument.
   std::vector<std::pair<std::string, std::string>> overrides;
@@ -154,7 +147,7 @@ struct ReconstructRequest {
 
 /// Serializes `request` as one line of the `submit` wire grammar —
 /// space-separated `key=value` tokens (`method= train= target= truth=
-/// seed= budget= deadline= priority= client= kthreads= retries= backoff=
+/// seed= budget= deadline= priority= client= retries= backoff=
 /// backoff_mult= backoff_cap= jitter= retryable=` then overrides), with
 /// fields at their default value omitted. This is the single source of
 /// truth shared by the LineProtocol `submit` verb and the write-ahead

@@ -154,7 +154,6 @@ void Service::RecoverFromJournal() {
   };
   std::map<JobId, Replayed> replayed;
   util::JournalOptions journal_options;
-  journal_options.rotate_bytes = options_.journal_rotate_bytes;
   journal_options.fsync = options_.journal_fsync;
   StatusOr<std::unique_ptr<util::Journal>> journal = util::Journal::Open(
       options_.journal_dir,
@@ -569,11 +568,6 @@ void Service::RunJob(const std::shared_ptr<Job>& job) {
   options.seed = job->request.seed;
   options.time_budget_seconds = job->request.time_budget_seconds;
   options.marioh = options_.marioh;
-  if (job->request.kernel_threads > 0) {
-    // Per-job thread budget: this job's ParallelFor fan-out width
-    // (results are thread-count invariant; only its CPU share changes).
-    options.marioh.num_threads = job->request.kernel_threads;
-  }
   // The token gates every stage entry *and* rides into the MARIOH-family
   // kernels, so Cancel/deadline trips land mid-kernel; baselines still
   // stop at their next stage boundary.

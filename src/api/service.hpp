@@ -214,8 +214,6 @@ struct ServiceOptions {
   /// an accepted job survives even power loss, kNever trades the most
   /// recent accepts for speed.
   util::JournalFsync journal_fsync = util::JournalFsync::kAlways;
-  /// Journal segment rotation threshold (see JournalOptions).
-  size_t journal_rotate_bytes = 4u << 20;
 };
 
 /// Runs reconstruction jobs asynchronously over a shared `DatasetCache`.

@@ -148,7 +148,6 @@ Status Session::BeginStage(const std::string& stage) {
         "'");
   }
   if (!clock_) clock_.emplace();
-  double elapsed = clock_->Seconds();
   if (deadline_exceeded_) {
     return Status::DeadlineExceeded(
         info_.name + ": time budget of " +
@@ -161,10 +160,6 @@ Status Session::BeginStage(const std::string& stage) {
       return StatusForTrip(reason, info_.name,
                            "before stage '" + stage + "'");
     }
-  }
-  if (options_.progress && !options_.progress(stage, elapsed)) {
-    return Status::Cancelled(info_.name + ": run cancelled before stage '" +
-                             stage + "'");
   }
   // Stage gates double as liveness beats: a session that keeps crossing
   // stage boundaries is alive even if its kernels never poll a
@@ -257,14 +252,6 @@ Status Session::Train(const DatasetHandle& source) {
 }
 
 Status Session::TrainFromFile(const std::string& path) {
-  if (options_.cache != nullptr) {
-    // Shared load-once path: the cache keys the dataset by its path, so
-    // N sessions reading the same file share one in-memory copy.
-    StatusOr<DatasetHandle> handle =
-        options_.cache->LoadHypergraphFile(path, path);
-    if (!handle.ok()) return handle.status();
-    return Train(*handle);
-  }
   StatusOr<Hypergraph> source = io::TryReadHypergraphFile(path);
   if (!source.ok()) return source.status();
   return Train(source->Project(), *source);
@@ -313,12 +300,6 @@ Status Session::Reconstruct(const DatasetHandle& target) {
 }
 
 Status Session::ReconstructFromFile(const std::string& path) {
-  if (options_.cache != nullptr) {
-    StatusOr<DatasetHandle> handle =
-        options_.cache->LoadProjectedGraphFile(path, path);
-    if (!handle.ok()) return handle.status();
-    return Reconstruct(*handle);
-  }
   StatusOr<ProjectedGraph> target = io::TryReadProjectedGraphFile(path);
   if (!target.ok()) return target.status();
   return Reconstruct(*target);

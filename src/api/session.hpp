@@ -2,8 +2,8 @@
 /// \brief The `Session` façade: one reusable object that walks the
 /// paper's whole protocol — configure a method, Train on the source pair,
 /// Reconstruct the target, Evaluate against ground truth — with per-stage
-/// timing, a wall-clock budget (the harness's OOT semantics), and a
-/// progress/cancellation callback.
+/// timing, a wall-clock budget (the harness's OOT semantics), and
+/// cooperative cancellation through a `util::CancelToken`.
 ///
 /// Every consumer of the library goes through this façade (or the
 /// registry below it): the evaluation harness, `marioh_cli`, the bench
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,13 +30,6 @@
 #include "util/timer.hpp"
 
 namespace marioh::api {
-
-/// Invoked at the start of each stage ("train", "reconstruct",
-/// "evaluate") with the wall-clock seconds elapsed since the first stage
-/// began. Returning false cancels the run: the stage is not executed and
-/// fails with kCancelled.
-using ProgressCallback =
-    std::function<bool(const std::string& stage, double elapsed_seconds)>;
 
 /// Full configuration of a Session.
 struct SessionOptions {
@@ -69,13 +61,6 @@ struct SessionOptions {
   /// `key=value` overrides forwarded to the method factory (e.g.
   /// "theta_init=0.8"); unknown keys fail Configure.
   std::vector<std::pair<std::string, std::string>> overrides;
-  ProgressCallback progress;
-  /// Shared dataset cache consulted by the `*FromFile` entry points:
-  /// when set, files are loaded once per path across every session (and
-  /// service) sharing the cache, and the session trains/reconstructs on
-  /// the shared immutable handle. Null keeps the classic
-  /// one-read-per-call behavior.
-  std::shared_ptr<DatasetCache> cache;
   /// Session-level keys already consumed by `ApplySessionOverride`, used
   /// to reject duplicate assignments (e.g. two `seed=` overrides) with a
   /// precise error. Managed by ApplySessionOverride; leave it alone.
@@ -89,10 +74,9 @@ struct SessionOptions {
 /// sets `marioh.num_threads` — the thread count of the reconstruction
 /// hot kernels, with thread-count-invariant results; like the rest of
 /// the typed `marioh` options it only affects the MARIOH-family methods
-/// (baselines ignore it). Method-level keys ride the override list the
-/// same way — e.g. `snapshot_reuse=0.3` tunes the MARIOH loop's
-/// patch-vs-rebuild snapshot policy (a pure wall-clock knob; output is
-/// identical for any value). kInvalidArgument on syntax errors (missing
+/// (baselines ignore it), and it is the one way to set a job's kernel
+/// thread count. Method-level keys ride the override list the same way —
+/// e.g. `theta_init=0.8`. kInvalidArgument on syntax errors (missing
 /// '=', empty key, empty value), bad session-level values, and duplicate
 /// session-level keys (each of `method`/`seed`/`time_budget_seconds`/
 /// `threads` may be assigned at most once per SessionOptions).
@@ -136,8 +120,9 @@ class Session {
   Status Train(const DatasetHandle& source);
 
   /// Loads a source hypergraph from `path` (text format), projects it,
-  /// and trains on the pair. With `SessionOptions::cache` set, the load
-  /// is shared: one read per path process-wide, keyed by the path.
+  /// and trains on the pair. Each call reads the file; to share loads
+  /// across sessions, load through a `DatasetCache` and train on the
+  /// handle instead.
   Status TrainFromFile(const std::string& path);
 
   /// Reconstructs a hypergraph from the target projected graph; the
@@ -151,8 +136,7 @@ class Session {
   Status Reconstruct(const DatasetHandle& target);
 
   /// Loads a projected graph from `path` (text format) and reconstructs.
-  /// With `SessionOptions::cache` set, the load is shared like
-  /// TrainFromFile's.
+  /// Each call reads the file, like TrainFromFile.
   Status ReconstructFromFile(const std::string& path);
 
   /// Scores the most recent reconstruction against `ground_truth`.

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "core/marioh.hpp"
 #include "hypergraph/clique.hpp"
@@ -88,19 +88,24 @@ Hypergraph Shyre::Reconstruct(const ProjectedGraph& g_target) {
   util::Rng rng(options_.seed ^ 0xabcdef12345ULL);
   // One snapshot of G_T serves the enumeration and every score. Maximal
   // cliques stay in the enumeration arena; candidates are scored as
-  // views, and the dedup lookup reuses one scratch key. Only accepted
-  // candidates own their nodes (inside the `accepted` set).
+  // views, and the dedup lookup reuses one scratch key.
   const CsrGraph snapshot(g_target);
   MaximalCliqueResult enumerated = EnumerateMaximalCliques(snapshot);
 
-  std::unordered_set<NodeSet, util::VectorHash> accepted;
-  NodeSet lookup_key;  // reused buffer: no allocation per candidate
+  // Every scored candidate with its verdict (accepted or not), recorded
+  // before scoring, so a candidate sampled again is neither re-extracted
+  // nor re-scored. The first verdict is the only one a key can get: a
+  // proper subset of a maximal clique is never maximal, so a key always
+  // meets the same `is_maximal`, and scoring is deterministic.
+  std::unordered_map<NodeSet, bool, util::VectorHash> verdicts;
+  NodeSet lookup_key;  // reused buffer: no allocation per repeat
   auto consider = [&](CliqueView q, bool is_maximal) {
     if (q.size() < 2) return;
     lookup_key.assign(q.begin(), q.end());
-    if (accepted.count(lookup_key) > 0) return;
-    double score = classifier_.Score(snapshot, q, is_maximal);
-    if (score > options_.threshold) accepted.insert(lookup_key);
+    auto [verdict, fresh] = verdicts.try_emplace(lookup_key, false);
+    if (!fresh) return;
+    verdict->second =
+        classifier_.Score(snapshot, q, is_maximal) > options_.threshold;
   };
 
   for (CliqueView q : enumerated.cliques) {
@@ -121,7 +126,9 @@ Hypergraph Shyre::Reconstruct(const ProjectedGraph& g_target) {
       }
     }
   }
-  for (const NodeSet& q : accepted) h.AddEdge(q, 1);
+  for (const auto& [q, accepted] : verdicts) {
+    if (accepted) h.AddEdge(q, 1);
+  }
   return h;
 }
 

@@ -7,6 +7,19 @@
 
 namespace marioh::core {
 
+namespace {
+
+/// When an iteration's peels touch at most this fraction of the nodes,
+/// the next CSR snapshot is patched from the previous one (only the
+/// touched adjacency rows are rebuilt; see CsrGraph's patch constructor)
+/// instead of rebuilt from scratch. Both routes yield bit-identical
+/// snapshots, so only wall-clock depends on it. The value follows the
+/// BM_CsrPatchRebuild crossover: patching still wins at 50% touched on
+/// the benchmark graphs, so the threshold sits safely below that.
+constexpr double kSnapshotPatchMaxTouched = 0.4;
+
+}  // namespace
+
 MariohOptions OptionsForVariant(MariohVariant variant, MariohOptions base) {
   switch (variant) {
     case MariohVariant::kFull:
@@ -48,18 +61,18 @@ Hypergraph Marioh::Reconstruct(const ProjectedGraph& g_target) const {
 
   // The loop owns one CSR snapshot of `g` and keeps it fresh across
   // iterations: when an iteration's peels touch at most a
-  // `snapshot_reuse` fraction of the nodes, the snapshot is patched (only
-  // touched rows rebuilt — the common case late in a run, when a phase
-  // accepts a handful of cliques); otherwise it is rebuilt from scratch.
-  // Both routes yield bit-identical snapshots, so the reconstruction
-  // output does not depend on the policy.
+  // `kSnapshotPatchMaxTouched` fraction of the nodes, the snapshot is
+  // patched (only touched rows rebuilt — the common case late in a run,
+  // when a phase accepts a handful of cliques); otherwise it is rebuilt
+  // from scratch. Both routes yield bit-identical snapshots, so the
+  // reconstruction output does not depend on the policy.
   CsrGraph snapshot;
   auto refresh_snapshot = [&](CsrGraph prev,
                               std::span<const NodeId> touched) {
     if (touched.empty()) return prev;  // no peels: still exact
     double fraction = static_cast<double>(touched.size()) /
                       static_cast<double>(g.num_nodes());
-    if (fraction <= options_.snapshot_reuse) {
+    if (fraction <= kSnapshotPatchMaxTouched) {
       ++last_stats_.snapshot_patches;
       return CsrGraph(prev, g, touched, options_.num_threads);
     }

@@ -1,7 +1,6 @@
 #include "net/event_loop.hpp"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -11,8 +10,8 @@
 #include <unistd.h>
 
 // The poll(2) backend is always compiled — it is the portable fallback
-// *and* the runtime alternative behind EventLoopOptions::force_poll /
-// MARIOH_NET_FORCE_POLL. epoll is compiled in on Linux and selected at
+// *and* the runtime alternative behind EventLoopOptions::force_poll.
+// epoll is compiled in on Linux and selected at
 // runtime iff the epoll instance was actually created (backend_fd_ >= 0).
 #if defined(__linux__)
 #define MARIOH_NET_EPOLL 1
@@ -54,16 +53,10 @@ uint32_t FromEpoll(uint32_t events) {
 }  // namespace
 
 EventLoop::EventLoop(EventLoopOptions options) {
-  bool force_poll = options.force_poll;
-  const char* env = std::getenv("MARIOH_NET_FORCE_POLL");
-  if (env != nullptr && env[0] != '\0' &&
-      !(env[0] == '0' && env[1] == '\0')) {
-    force_poll = true;
-  }
 #if MARIOH_NET_EPOLL
-  if (!force_poll) backend_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (!options.force_poll) backend_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
 #else
-  (void)force_poll;
+  (void)options;
 #endif
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) == 0) {

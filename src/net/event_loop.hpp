@@ -24,13 +24,11 @@
 namespace marioh::net {
 
 struct EventLoopOptions {
-  /// Use the portable poll(2) backend even where epoll is available.
-  /// The same switch is forced by setting the MARIOH_NET_FORCE_POLL
-  /// environment variable to anything but "" or "0" — so a deployed
-  /// binary can be flipped without a rebuild, and the test suite runs a
-  /// slice over both backends. Everything observable except syscall
-  /// choice is identical: both are level-triggered and feed the same
-  /// dispatch path.
+  /// Use the portable poll(2) backend even where epoll is available
+  /// (`marioh_served --force-poll`; the test suite runs a slice over
+  /// both backends). Everything observable except syscall choice is
+  /// identical: both are level-triggered and feed the same dispatch
+  /// path.
   bool force_poll = false;
 };
 

@@ -47,12 +47,16 @@ class CancelToken {
   /// Arms (or re-arms) a hard deadline `seconds` from now on the steady
   /// clock; negative disarms. Unlike the soft Session time budget — which
   /// lets the overrunning run finish and score (the paper's OOT
-  /// semantics) — an armed deadline aborts mid-kernel.
+  /// semantics) — an armed deadline aborts mid-kernel. A deadline beyond
+  /// 1e9 s (about 31 years; NaN included) is held at that bound, which
+  /// keeps the nanosecond arithmetic in range.
   void SetDeadline(double seconds_from_now) {
     if (seconds_from_now < 0.0) {
       deadline_ns_.store(0, std::memory_order_relaxed);
       return;
     }
+    constexpr double kMaxSeconds = 1e9;
+    if (!(seconds_from_now <= kMaxSeconds)) seconds_from_now = kMaxSeconds;
     int64_t now = NowNanos();
     int64_t delta = static_cast<int64_t>(seconds_from_now * 1e9);
     deadline_ns_.store(now + delta, std::memory_order_relaxed);

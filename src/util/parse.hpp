@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -48,7 +49,8 @@ inline std::optional<double> ParseDouble(const std::string& token) {
   try {
     size_t pos = 0;
     double value = std::stod(token, &pos);
-    if (pos != token.size()) return std::nullopt;
+    // stod also reads "nan" and "inf"; neither is a usable setting.
+    if (pos != token.size() || !std::isfinite(value)) return std::nullopt;
     return value;
   } catch (const std::exception&) {
     return std::nullopt;

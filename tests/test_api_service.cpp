@@ -25,6 +25,7 @@
 #include "io/text_io.hpp"
 #include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
+#include "util/journal.hpp"
 
 namespace marioh::api {
 namespace {
@@ -520,34 +521,6 @@ TEST(Service, HardDeadlineEndsJobsAsDeadlineExceeded) {
   EXPECT_EQ(service.Cancel(*id).code(), StatusCode::kFailedPrecondition);
 }
 
-// The per-job kernel_threads field changes only the job's CPU share,
-// never its output (the thread-count-invariance contract, job-level).
-TEST(Service, KernelThreadsOverrideKeepsOutputIdentical) {
-  eval::PreparedDataset data = SmallDataset();
-  Service service(CacheWithCrime(data));
-
-  ReconstructRequest request;
-  request.method = "MARIOH";
-  request.train_dataset = "crime.train";
-  request.target_dataset = "crime.target";
-  request.seed = 11;
-  StatusOr<JobId> base = service.Submit(request);
-  request.kernel_threads = 4;
-  StatusOr<JobId> wide = service.Submit(request);
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(wide.ok());
-  StatusOr<JobSnapshot> base_job = service.Wait(*base);
-  StatusOr<JobSnapshot> wide_job = service.Wait(*wide);
-  ASSERT_TRUE(base_job.ok());
-  ASSERT_TRUE(wide_job.ok());
-  ASSERT_EQ(base_job->state, JobState::kDone)
-      << base_job->status.ToString();
-  ASSERT_EQ(wide_job->state, JobState::kDone)
-      << wide_job->status.ToString();
-  EXPECT_EQ(base_job->reconstruction->edges(),
-            wide_job->reconstruction->edges());
-}
-
 TEST(Service, MethodLevelOverridesReachTheJob) {
   eval::PreparedDataset data = SmallDataset();
   Service service(CacheWithCrime(data));
@@ -840,7 +813,6 @@ TEST(RequestWire, SerializeParseRoundTripsEveryField) {
   request.deadline_seconds = 0.3333333333333333;
   request.priority = Priority::kInteractive;
   request.client_id = "tenant-7";
-  request.kernel_threads = 3;
   request.retry.max_attempts = 4;
   request.retry.initial_backoff_seconds = 0.01;
   request.retry.backoff_multiplier = 3.0;
@@ -863,7 +835,6 @@ TEST(RequestWire, SerializeParseRoundTripsEveryField) {
   EXPECT_EQ(parsed.deadline_seconds, request.deadline_seconds);
   EXPECT_EQ(parsed.priority, request.priority);
   EXPECT_EQ(parsed.client_id, request.client_id);
-  EXPECT_EQ(parsed.kernel_threads, request.kernel_threads);
   EXPECT_EQ(parsed.retry.max_attempts, request.retry.max_attempts);
   EXPECT_EQ(parsed.retry.initial_backoff_seconds,
             request.retry.initial_backoff_seconds);
@@ -886,6 +857,46 @@ TEST(RequestWire, SerializeParseRoundTripsEveryField) {
   EXPECT_EQ(reparsed.method, blank.method);
   EXPECT_EQ(reparsed.seed, blank.seed);
   EXPECT_EQ(reparsed.retry.max_attempts, 1);
+
+  // `kthreads=` was a second spelling of the `threads=` override and is
+  // no longer a typed key. A line that still carries it — say a journal
+  // accept record written before the key was removed — parses, with
+  // `kthreads` as an override; replaying it does not fail startup, and
+  // the job ends FAILED with an INVALID_ARGUMENT naming the key.
+  const std::string legacy_line =
+      "train=crime.train target=crime.target kthreads=3";
+  ReconstructRequest legacy;
+  ASSERT_TRUE(ParseReconstructRequest(legacy_line, &legacy).ok());
+  ASSERT_EQ(legacy.overrides.size(), 1u);
+  EXPECT_EQ(legacy.overrides[0].first, "kthreads");
+  EXPECT_EQ(legacy.overrides[0].second, "3");
+  EXPECT_EQ(SerializeReconstructRequest(legacy), legacy_line);
+
+  const std::string dir = testing::TempDir() + "/marioh_request_kthreads";
+  std::filesystem::remove_all(dir);
+  {
+    StatusOr<std::unique_ptr<util::Journal>> journal = util::Journal::Open(
+        dir, [](const util::JournalRecord&) {});
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ASSERT_TRUE((*journal)->Append(1, "accept " + legacy_line, false).ok());
+  }
+  eval::PreparedDataset data = SmallDataset();
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.journal_dir = dir;
+  {
+    Service service(CacheWithCrime(data), options);
+    ASSERT_TRUE(service.startup_status().ok())
+        << service.startup_status().ToString();
+    EXPECT_EQ(service.stats().jobs_recovered, 1u);
+    StatusOr<JobSnapshot> job = service.Wait(1);
+    ASSERT_TRUE(job.ok());
+    EXPECT_EQ(job->state, JobState::kFailed);
+    EXPECT_EQ(job->status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(job->status.message().find("kthreads"), std::string::npos)
+        << job->status.message();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RequestWire, ParserRejectsMalformedAndDuplicateTokens) {
@@ -925,9 +936,9 @@ TEST(RequestWire, ParserRejectsMalformedAndDuplicateTokens) {
   // error here.
   ReconstructRequest with_override;
   ASSERT_TRUE(
-      ParseReconstructRequest("snapshot_reuse=0.3", &with_override).ok());
+      ParseReconstructRequest("theta_init=0.3", &with_override).ok());
   ASSERT_EQ(with_override.overrides.size(), 1u);
-  EXPECT_EQ(with_override.overrides[0].first, "snapshot_reuse");
+  EXPECT_EQ(with_override.overrides[0].first, "theta_init");
 }
 
 TEST(RequestWire, ValidateRejectsWhatCannotRoundTrip) {

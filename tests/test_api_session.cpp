@@ -1,13 +1,11 @@
 // Tests for the api::Session façade: the configure → train → reconstruct
 // → evaluate protocol, string overrides, per-stage timing, the wall-clock
-// budget (OOT semantics), the progress/cancellation callback, and the
-// file-based convenience entry points — all failure modes as Status.
+// budget (OOT semantics), and the file-based convenience entry points —
+// all failure modes as Status.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,29 +115,6 @@ TEST(Session, ExhaustedTimeBudgetIsDeadlineExceededNotAnAbort) {
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(second.message().find("time budget"), std::string::npos);
-}
-
-TEST(Session, ProgressCallbackObservesStagesAndCanCancel) {
-  eval::PreparedDataset data = SmallDataset();
-  std::vector<std::string> stages;
-  SessionOptions options;
-  options.method = "MaxClique";
-  options.progress = [&stages](const std::string& stage, double elapsed) {
-    EXPECT_GE(elapsed, 0.0);
-    stages.push_back(stage);
-    return true;
-  };
-  Session session;
-  ASSERT_TRUE(session.Configure(options).ok());
-  ASSERT_TRUE(session.Reconstruct(*data.g_target).ok());
-  EXPECT_EQ(stages, std::vector<std::string>{"reconstruct"});
-
-  options.progress = [](const std::string&, double) { return false; };
-  Session cancelled;
-  ASSERT_TRUE(cancelled.Configure(options).ok());
-  Status result = cancelled.Reconstruct(*data.g_target);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.code(), StatusCode::kCancelled);
 }
 
 TEST(Session, StringOverridesConfigureTheSessionAndTheMethod) {
@@ -279,32 +254,6 @@ TEST(Session, ReconstructionCountersLandInStageStats) {
   EXPECT_GT(snapshots, 0.0);
 }
 
-TEST(Session, SnapshotReuseOverrideIsAPureWallClockKnob) {
-  eval::PreparedDataset data = SmallDataset();
-  auto run = [&](const char* override_kv) {
-    SessionOptions options;
-    options.method = "MARIOH";
-    if (override_kv != nullptr) {
-      EXPECT_TRUE(ApplySessionOverride(&options, override_kv).ok());
-    }
-    Session session;
-    EXPECT_TRUE(session.Configure(options).ok());
-    EXPECT_TRUE(session.Train(*data.g_source, *data.source).ok());
-    EXPECT_TRUE(session.Reconstruct(*data.g_target).ok());
-    double patches =
-        session.stage_timer().Get("reconstruct.snapshot_patches");
-    return std::make_pair(session.reconstruction()->edges(), patches);
-  };
-  auto [default_edges, default_patches] = run(nullptr);
-  auto [rebuild_edges, rebuild_patches] = run("snapshot_reuse=0");
-  auto [patch_edges, patch_patches] = run("snapshot_reuse=1");
-  // The policy changes only which snapshot route ran, never the result.
-  EXPECT_EQ(rebuild_edges, default_edges);
-  EXPECT_EQ(patch_edges, default_edges);
-  EXPECT_EQ(rebuild_patches, 0.0);
-  EXPECT_GT(patch_patches, 0.0);
-}
-
 TEST(Session, FileBasedRoundTripMatchesInMemoryRun) {
   eval::PreparedDataset data = SmallDataset();
   const std::string train_path = "session_test_train.hg";
@@ -338,44 +287,6 @@ TEST(Session, FileBasedRoundTripMatchesInMemoryRun) {
   std::remove(train_path.c_str());
   std::remove(target_path.c_str());
   std::remove(out_path.c_str());
-}
-
-TEST(Session, SharedCacheLoadsEachFileOnce) {
-  eval::PreparedDataset data = SmallDataset();
-  const std::string train_path = "session_cache_train.hg";
-  const std::string target_path = "session_cache_target.eg";
-  ASSERT_TRUE(io::TryWriteHypergraphFile(*data.source, train_path).ok());
-  ASSERT_TRUE(
-      io::TryWriteProjectedGraphFile(*data.g_target, target_path).ok());
-
-  auto cache = std::make_shared<DatasetCache>();
-  auto run = [&] {
-    SessionOptions options;
-    options.method = "MARIOH";
-    options.cache = cache;
-    Session session;
-    EXPECT_TRUE(session.Configure(options).ok());
-    EXPECT_TRUE(session.TrainFromFile(train_path).ok());
-    EXPECT_TRUE(session.ReconstructFromFile(target_path).ok());
-    return session.reconstruction()->edges();
-  };
-  auto first = run();
-
-  // The files are gone, yet a second session sharing the cache still
-  // runs — proof the data is served from the resident handles, not
-  // re-read per run — and reconstructs identically.
-  std::remove(train_path.c_str());
-  std::remove(target_path.c_str());
-  EXPECT_EQ(run(), first);
-  EXPECT_EQ(cache->size(), 2u);  // one entry per path
-
-  // Without the cache, the same session options now hit NotFound.
-  SessionOptions uncached;
-  uncached.method = "MARIOH";
-  Session session;
-  ASSERT_TRUE(session.Configure(uncached).ok());
-  EXPECT_EQ(session.TrainFromFile(train_path).code(),
-            StatusCode::kNotFound);
 }
 
 TEST(Session, ConfigureResetsStateForReuse) {

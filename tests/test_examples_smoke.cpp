@@ -115,6 +115,27 @@ TEST(ExamplesSmoke, CliListMethodsExitsZero) {
   EXPECT_NE(output.find("CFinder"), std::string::npos) << output;
 }
 
+// Thread invariance end to end, through the one per-job thread setting:
+// the demo run (no positional arguments) writes a byte-identical
+// demo_out.hg at threads=1 and threads=4.
+TEST(ExamplesSmoke, CliThreadCountDoesNotChangeTheOutputFile) {
+  auto run = [](const std::string& threads) {
+    std::string output;
+    EXPECT_EQ(RunCli("--set threads=" + threads, &output), 0) << output;
+    std::ifstream in("demo_out.hg", std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  const std::string one = run("1");
+  const std::string four = run("4");
+  EXPECT_FALSE(one.empty());
+  EXPECT_EQ(one, four);
+  for (const char* path : {"demo_train.hg", "demo_target.eg", "demo_out.hg"}) {
+    std::remove(path);
+  }
+}
+
 #endif  // MARIOH_CLI_PATH && unix
 
 }  // namespace

@@ -1,0 +1,260 @@
+// Seed-fixed mutation fuzzing of the two entry points that read untrusted
+// request text: `api::ParseReconstructRequest` (the `submit` grammar, also
+// the journal's accept-record format) and `net::LineProtocol::Handle`
+// (every front end's request line). A corpus of valid `submit` lines is
+// mutated with byte flips, inserted and deleted tokens, duplicated keys
+// and truncations. The properties:
+//   - every input gets a Status and nothing throws or aborts;
+//   - a parse that is OK and passes ValidateRequestSerializable survives
+//     Serialize → Parse field for field, and re-serializes to the same
+//     line;
+//   - every Handle call answers exactly one `ok ...` / `error ...` line.
+// The iteration counts are fixed so the suite stays a few seconds in a
+// Release build; the sanitizer builds run it as part of the full suite.
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <filesystem>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "api/dataset_cache.hpp"
+#include "api/request.hpp"
+#include "api/service.hpp"
+#include "net/line_protocol.hpp"
+#include "util/rng.hpp"
+
+namespace marioh {
+namespace {
+
+using api::ReconstructRequest;
+using api::Status;
+
+constexpr int kParseIterations = 100000;
+constexpr int kHandleIterations = 10000;
+
+/// Valid `submit` argument lists over the `fuzz` dataset triple, together
+/// covering every typed key of the grammar plus a few overrides.
+const std::vector<std::string>& Corpus() {
+  static const std::vector<std::string> corpus = {
+      "method=MARIOH train=fuzz.train target=fuzz.target truth=fuzz.truth "
+      "seed=3",
+      "method=MaxClique target=fuzz.target",
+      "method=MARIOH train=fuzz.train target=fuzz.target "
+      "priority=interactive client=alice deadline=5 budget=2.5",
+      "method=MARIOH train=fuzz.train target=fuzz.target retries=2 "
+      "backoff=0.01 backoff_mult=2 backoff_cap=0.5 jitter=0.1 "
+      "retryable=unavailable,internal",
+      "method=MaxClique target=fuzz.target truth=fuzz.truth threads=2 "
+      "seed=18446744073709551615 priority=batch",
+      "method=MARIOH train=fuzz.train target=fuzz.target theta_init=0.8 "
+      "alpha=0.05 r_percent=10",
+  };
+  return corpus;
+}
+
+/// Tokens the inserter splices in: valid keys, edge values, and shapes
+/// the grammar must reject.
+const std::vector<std::string>& Dictionary() {
+  static const std::vector<std::string> dictionary = {
+      // Valid typed keys and overrides, some naming the wrong dataset kind.
+      "seed=0", "budget=-1", "deadline=0", "priority=normal", "client=bob",
+      "retries=0", "backoff=0", "backoff_mult=1", "backoff_cap=0",
+      "jitter=0", "retryable=cancelled", "threads=1", "theta_init=0.5",
+      "method=MaxClique", "train=fuzz.truth", "target=fuzz.train",
+      "truth=fuzz.target", "kthreads=2",
+      // Edge values: non-finite, out-of-range and odd numeric spellings.
+      "budget=nan", "deadline=inf", "deadline=-0", "budget=1e999",
+      "deadline=1e300", "retries=2147483647", "retries=99999999999",
+      "seed=-1", "seed=0x10", "backoff=1e-320",
+      // Malformed shapes and stray verbs.
+      "=", "key=", "=value", "priority=", "method=", "a=b=c", "retryable=,",
+      "retryable=unavailable,", "submit", "#", "wait",
+  };
+  return dictionary;
+}
+
+std::vector<std::string> SplitTokens(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> tokens;
+  std::string token;
+  while (in >> token) tokens.push_back(token);
+  return tokens;
+}
+
+std::string JoinTokens(const std::vector<std::string>& tokens) {
+  std::string out;
+  for (const std::string& token : tokens) {
+    if (!out.empty()) out += ' ';
+    out += token;
+  }
+  return out;
+}
+
+/// Applies one to three random mutations to `text`. Byte flips never
+/// write '\n': every front end frames requests on it, so no line reaches
+/// the parser carrying one.
+std::string Mutate(std::string text, util::Rng* rng) {
+  const size_t rounds = 1 + rng->UniformIndex(3);
+  for (size_t round = 0; round < rounds; ++round) {
+    std::vector<std::string> tokens = SplitTokens(text);
+    switch (rng->UniformIndex(5)) {
+      case 0: {  // byte flip
+        if (text.empty()) break;
+        char byte = static_cast<char>(rng->UniformIndex(256));
+        if (byte == '\n') byte = ' ';
+        text[rng->UniformIndex(text.size())] = byte;
+        break;
+      }
+      case 1: {  // insert a dictionary token
+        const std::vector<std::string>& dictionary = Dictionary();
+        auto at = static_cast<std::ptrdiff_t>(
+            rng->UniformIndex(tokens.size() + 1));
+        tokens.insert(tokens.begin() + at,
+                      dictionary[rng->UniformIndex(dictionary.size())]);
+        text = JoinTokens(tokens);
+        break;
+      }
+      case 2: {  // delete a token
+        if (tokens.empty()) break;
+        auto at =
+            static_cast<std::ptrdiff_t>(rng->UniformIndex(tokens.size()));
+        tokens.erase(tokens.begin() + at);
+        text = JoinTokens(tokens);
+        break;
+      }
+      case 3: {  // duplicate a key, with its own or a changed value
+        if (tokens.empty()) break;
+        std::string copy = tokens[rng->UniformIndex(tokens.size())];
+        if (rng->UniformIndex(2) == 0) copy += '1';
+        tokens.push_back(copy);
+        text = JoinTokens(tokens);
+        break;
+      }
+      default:  // truncate
+        text.resize(rng->UniformIndex(text.size() + 1));
+        break;
+    }
+  }
+  return text;
+}
+
+void ExpectSameRequest(const ReconstructRequest& a,
+                       const ReconstructRequest& b,
+                       const std::string& context) {
+  EXPECT_EQ(a.method, b.method) << context;
+  EXPECT_EQ(a.train_dataset, b.train_dataset) << context;
+  EXPECT_EQ(a.target_dataset, b.target_dataset) << context;
+  EXPECT_EQ(a.ground_truth_dataset, b.ground_truth_dataset) << context;
+  EXPECT_EQ(a.seed, b.seed) << context;
+  EXPECT_EQ(a.time_budget_seconds, b.time_budget_seconds) << context;
+  EXPECT_EQ(a.deadline_seconds, b.deadline_seconds) << context;
+  EXPECT_EQ(a.priority, b.priority) << context;
+  EXPECT_EQ(a.client_id, b.client_id) << context;
+  EXPECT_EQ(a.retry.max_attempts, b.retry.max_attempts) << context;
+  EXPECT_EQ(a.retry.initial_backoff_seconds, b.retry.initial_backoff_seconds)
+      << context;
+  EXPECT_EQ(a.retry.backoff_multiplier, b.retry.backoff_multiplier)
+      << context;
+  EXPECT_EQ(a.retry.max_backoff_seconds, b.retry.max_backoff_seconds)
+      << context;
+  EXPECT_EQ(a.retry.jitter_fraction, b.retry.jitter_fraction) << context;
+  EXPECT_EQ(a.retry.retryable, b.retry.retryable) << context;
+  EXPECT_EQ(a.overrides, b.overrides) << context;
+}
+
+TEST(Fuzz, ParsedRequestsRoundTripFieldForField) {
+  util::Rng rng(20261018);
+  int round_trips = 0;
+  for (int i = 0; i < kParseIterations; ++i) {
+    const std::vector<std::string>& corpus = Corpus();
+    std::string text = Mutate(corpus[rng.UniformIndex(corpus.size())], &rng);
+    ReconstructRequest parsed;
+    Status status = ParseReconstructRequest(text, &parsed);
+    if (!status.ok()) {
+      EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument) << text;
+      EXPECT_FALSE(status.message().empty()) << text;
+      continue;
+    }
+    if (!api::ValidateRequestSerializable(parsed).ok()) continue;
+    std::string wire = api::SerializeReconstructRequest(parsed);
+    ReconstructRequest reparsed;
+    Status again = ParseReconstructRequest(wire, &reparsed);
+    ASSERT_TRUE(again.ok()) << "input: " << text << "\nwire: " << wire
+                            << "\n" << again.ToString();
+    ExpectSameRequest(parsed, reparsed, "input: " + text + "\nwire: " + wire);
+    EXPECT_EQ(api::SerializeReconstructRequest(reparsed), wire) << text;
+    if (HasFailure()) return;  // one clear report, not thousands
+    ++round_trips;
+  }
+  // The mutations are mild enough that a good share still parses; a
+  // collapse here would mean the corpus stopped exercising round trips.
+  EXPECT_GT(round_trips, kParseIterations / 10);
+}
+
+/// Serves `line` and checks the framing: blank and comment lines and a
+/// deferred `wait` answer nothing, everything else exactly one `ok ...` /
+/// `error ...` line. Returns the response.
+std::string HandleOneLine(net::LineProtocol* protocol,
+                          const std::string& line) {
+  net::LineProtocol::Result result = protocol->Handle(line);
+  std::istringstream args(line);
+  std::string verb;
+  args >> verb;
+  if (verb.empty() || verb[0] == '#' || result.wait_for.has_value()) {
+    EXPECT_TRUE(result.response.empty()) << line;
+    return result.response;
+  }
+  const std::string& response = result.response;
+  EXPECT_FALSE(response.empty()) << line;
+  EXPECT_EQ(response.find('\n'), response.size() - 1)
+      << "line: " << line << "\nresponse: " << response;
+  EXPECT_TRUE(response.rfind("ok ", 0) == 0 ||
+              response.rfind("error ", 0) == 0)
+      << "line: " << line << "\nresponse: " << response;
+  return response;
+}
+
+TEST(Fuzz, EveryHandledLineGetsExactlyOneResponseLine) {
+  const std::string dir = testing::TempDir() + "/marioh_fuzz_journal";
+  std::filesystem::remove_all(dir);
+  auto cache = std::make_shared<api::DatasetCache>();
+  ASSERT_TRUE(net::GenerateDataset(cache.get(), "fuzz", "crime", 1).ok());
+  api::ServiceOptions options;
+  options.num_workers = 1;
+  options.max_queued_jobs = 4;
+  // Journaling puts every accepted request through Validate + Serialize.
+  options.journal_dir = dir;
+  options.journal_fsync = util::JournalFsync::kNever;
+  {
+    api::Service service(cache, options);
+    ASSERT_TRUE(service.startup_status().ok());
+    net::LineProtocol protocol(cache.get(), &service);
+    protocol.set_default_client("fuzz-client");
+
+    util::Rng rng(20261019);
+    int accepted = 0;
+    for (int i = 0; i < kHandleIterations; ++i) {
+      const std::vector<std::string>& corpus = Corpus();
+      std::string response = HandleOneLine(
+          &protocol,
+          Mutate("submit " + corpus[rng.UniformIndex(corpus.size())], &rng));
+      if (HasFailure()) return;
+      if (response.rfind("ok job ", 0) != 0) continue;
+      // Cancel every accepted job at once, so the queue stays short and
+      // later valid submits are admitted rather than turned away.
+      ++accepted;
+      HandleOneLine(&protocol, "cancel " + response.substr(7));
+      if (HasFailure()) return;
+    }
+    // A good share of mutants must get through the whole submit path.
+    EXPECT_GT(accepted, kHandleIterations / 20);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace marioh

@@ -264,38 +264,23 @@ TEST(HotPathEndToEnd, ReconstructionIsThreadCountInvariant) {
 }
 
 TEST(HotPathEndToEnd, ReconstructionIsSnapshotPolicyInvariant) {
-  // The snapshot_reuse threshold is a pure wall-clock knob: always-patch,
-  // always-rebuild, and the default must reconstruct the exact same
-  // hypergraph, while the patch/rebuild counters reflect the policy.
-  gen::GeneratedDataset data = gen::Generate(gen::ProfileByName("hosts"), 3);
+  // One default run takes both snapshot routes: patched refreshes after
+  // small peels, full rebuilds after large ones. The two routes build
+  // bit-identical snapshots (PatchedSnapshotMatchesFromScratchAfterPeels
+  // above), so the output cannot depend on the mix; this pins that the
+  // fixed patch threshold really exercises both.
+  gen::GeneratedDataset data = gen::Generate(gen::ProfileByName("enron"), 3);
   util::Rng split_rng(4);
   gen::SourceTargetSplit split = gen::SplitHypergraph(
       data.hypergraph.MultiplicityReduced(), &split_rng, 0.5);
   ProjectedGraph g_source = split.source.Project();
   ProjectedGraph g_target = split.target.Project();
 
-  core::MariohOptions options;
-  options.snapshot_reuse = 0.0;  // always rebuild
-  core::Marioh rebuild(options);
-  rebuild.Train(g_source, split.source);
-  Hypergraph h_rebuild = rebuild.Reconstruct(g_target);
-  EXPECT_EQ(rebuild.last_reconstruction_stats().snapshot_patches, 0u);
-  EXPECT_GT(rebuild.last_reconstruction_stats().snapshot_rebuilds, 0u);
-
-  options.snapshot_reuse = 1.0;  // always patch
-  core::Marioh patch(options);
-  patch.Train(g_source, split.source);
-  Hypergraph h_patch = patch.Reconstruct(g_target);
-  EXPECT_GT(patch.last_reconstruction_stats().snapshot_patches, 0u);
-  // The only full build is the one before the first iteration (skipped
-  // too when filtering's snapshot is patched instead).
-  EXPECT_LE(patch.last_reconstruction_stats().snapshot_rebuilds, 1u);
-  EXPECT_EQ(h_patch.edges(), h_rebuild.edges());
-
-  core::Marioh defaults;  // default threshold: a mix is fine, output equal
-  defaults.Train(g_source, split.source);
-  Hypergraph h_default = defaults.Reconstruct(g_target);
-  EXPECT_EQ(h_default.edges(), h_rebuild.edges());
+  core::Marioh marioh;
+  marioh.Train(g_source, split.source);
+  marioh.Reconstruct(g_target);
+  EXPECT_GT(marioh.last_reconstruction_stats().snapshot_patches, 0u);
+  EXPECT_GT(marioh.last_reconstruction_stats().snapshot_rebuilds, 0u);
 }
 
 }  // namespace

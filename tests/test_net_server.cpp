@@ -414,8 +414,8 @@ TEST(NetServer, MalformedAndOversizedFramesDontKillTheLoop) {
 }
 
 // The portable poll(2) backend is not just compile-time insurance: forced
-// on at runtime (EventLoopOptions::force_poll, as --force-poll or
-// MARIOH_NET_FORCE_POLL would), the same submit/wait slice must behave
+// on at runtime (EventLoopOptions::force_poll, as --force-poll does), the
+// same submit/wait slice must behave
 // identically to the default epoll backend — correct results, same
 // protocol responses, clean shutdown.
 TEST(NetServer, PollBackendServesTheSameSlice) {

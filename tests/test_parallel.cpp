@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -88,6 +89,19 @@ TEST(CancelToken, CancelAndDeadlineSetReasonOnce) {
   // The null-token helper never stops.
   EXPECT_FALSE(ShouldStop(nullptr));
   EXPECT_TRUE(ShouldStop(&token));
+}
+
+// A deadline past the clock's nanosecond range must not wrap into the
+// past: `deadline=1e300` on a request means "no practical deadline", not
+// "already expired".
+TEST(CancelToken, FarDeadlinesSaturateInsteadOfTripping) {
+  for (double seconds : {1e10, 1e300, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    CancelToken token;
+    token.SetDeadline(seconds);
+    EXPECT_FALSE(token.ShouldStop()) << seconds;
+    EXPECT_EQ(token.reason(), CancelReason::kNone) << seconds;
+  }
 }
 
 TEST(CancelToken, CheckerLatchesAndNullTokenIsFree) {
