@@ -3,7 +3,8 @@
 // snapshot build and patch, maximal-clique enumeration, feature
 // extraction, filtering and clique peeling, with thread sweeps for the
 // parallel kernels (timed in wall time) — and the classifier's MLP fit
-// and batched inference. google-benchmark based; pass
+// and batched inference (labelled with the kernel variant that ran).
+// google-benchmark based; pass
 // `--benchmark_out=bench_micro.json --benchmark_out_format=json` to record
 // a machine-readable trajectory (CI uploads this as an artifact).
 
@@ -16,6 +17,7 @@
 #include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
 #include "ml/mlp.hpp"
+#include "ml/mlp_kernel.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -317,6 +319,7 @@ void BM_MlpFit(benchmark::State& state) {
   state.counters["GFLOP"] = benchmark::Counter(
       6.0 * MlpWeights(options) * kMlpRows * options.epochs * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(marioh::ml::kernel::Dispatched().name);
 }
 BENCHMARK(BM_MlpFit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
@@ -334,6 +337,7 @@ void BM_MlpPredictBatch(benchmark::State& state) {
   state.counters["GFLOP"] = benchmark::Counter(
       2.0 * MlpWeights(options) * static_cast<double>(rows) * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(marioh::ml::kernel::Dispatched().name);
 }
 // 32 rows is one ScoreAll chunk; 6000 the whole training set.
 BENCHMARK(BM_MlpPredictBatch)->Arg(32)->Arg(6000)->UseRealTime();

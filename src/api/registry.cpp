@@ -1,9 +1,11 @@
 #include "api/registry.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <type_traits>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace marioh::api {
 namespace {
@@ -23,7 +25,11 @@ bool ParseNumber(const std::string& text, T* out) {
   try {
     size_t pos = 0;
     if constexpr (std::is_same_v<T, double>) {
-      *out = std::stod(text, &pos);
+      // Finite values only: std::stod would also take "nan" and "inf".
+      std::optional<double> value = util::ParseDouble(text);
+      if (!value.has_value()) return false;
+      *out = *value;
+      return true;
     } else if constexpr (std::is_same_v<T, int>) {
       *out = std::stoi(text, &pos);
     } else {

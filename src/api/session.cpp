@@ -1,5 +1,6 @@
 #include "api/session.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "eval/metrics.hpp"
@@ -8,6 +9,7 @@
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
+#include "util/parse.hpp"
 
 namespace marioh::api {
 
@@ -69,7 +71,7 @@ Status ApplySessionOverride(SessionOptions* options,
   if (key == "seed" || key == "time_budget_seconds" || key == "threads") {
     MARIOH_RETURN_IF_ERROR(CheckNotDuplicate(*options, key));
     try {
-      size_t pos = 0;
+      size_t pos = value.size();  // the std::sto* calls below reset it
       if (key == "seed") {
         // stoull would silently wrap negatives; reject them instead.
         if (value.find('-') != std::string::npos) {
@@ -81,7 +83,10 @@ Status ApplySessionOverride(SessionOptions* options,
         if (threads < 0) throw std::invalid_argument(value);
         options->marioh.num_threads = threads;
       } else {
-        options->time_budget_seconds = std::stod(value, &pos);
+        // Finite values only: std::stod would also take "nan" and "inf".
+        std::optional<double> budget = util::ParseDouble(value);
+        if (!budget.has_value()) throw std::invalid_argument(value);
+        options->time_budget_seconds = *budget;
       }
       if (pos != value.size()) throw std::invalid_argument(value);
     } catch (const std::exception&) {

@@ -1,12 +1,15 @@
 #include "io/text_io.hpp"
 
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/failpoint.hpp"
+#include "util/parse.hpp"
 
 namespace marioh::io {
 namespace {
@@ -33,17 +36,17 @@ bool IsCommentOrBlank(const std::string& line) {
   return true;
 }
 
-StatusOr<uint64_t> ParseNumber(const std::string& token,
+/// A plain decimal token no larger than `max`: no sign, no whitespace, no
+/// trailing bytes. std::stoull alone would take "-1" as 2^64 - 1.
+StatusOr<uint64_t> ParseNumber(const std::string& token, uint64_t max,
                                size_t line_number) {
-  try {
-    size_t pos = 0;
-    uint64_t value = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                   ": bad token '" + token + "'");
+  std::optional<uint64_t> value = util::ParseUint64(token);
+  if (!value.has_value() || *value > max) {
+    return Status::InvalidArgument(
+        "line " + std::to_string(line_number) + ": bad token '" + token +
+        "' (expected an integer in 0.." + std::to_string(max) + ")");
   }
+  return *value;
 }
 
 /// Unwraps a StatusOr for the throwing wrapper functions.
@@ -71,7 +74,7 @@ StatusOr<Hypergraph> TryReadHypergraph(std::istream& in) {
     uint32_t multiplicity = 1;
     // Optional trailing "x m".
     if (parts.size() >= 2 && parts[parts.size() - 2] == "x") {
-      StatusOr<uint64_t> m = ParseNumber(parts.back(), line_number);
+      StatusOr<uint64_t> m = ParseNumber(parts.back(), UINT32_MAX, line_number);
       if (!m.ok()) return m.status();
       multiplicity = static_cast<uint32_t>(*m);
       parts.resize(parts.size() - 2);
@@ -79,7 +82,7 @@ StatusOr<Hypergraph> TryReadHypergraph(std::istream& in) {
     NodeSet edge;
     edge.reserve(parts.size());
     for (const std::string& p : parts) {
-      StatusOr<uint64_t> id = ParseNumber(p, line_number);
+      StatusOr<uint64_t> id = ParseNumber(p, kMaxNodeId, line_number);
       if (!id.ok()) return id.status();
       edge.push_back(static_cast<NodeId>(*id));
     }
@@ -148,16 +151,16 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
                                      std::to_string(line_number) +
                                      ": expected 'u v [w]'");
     }
-    StatusOr<uint64_t> u = ParseNumber(parts[0], line_number);
+    StatusOr<uint64_t> u = ParseNumber(parts[0], kMaxNodeId, line_number);
     if (!u.ok()) return u.status();
-    StatusOr<uint64_t> v = ParseNumber(parts[1], line_number);
+    StatusOr<uint64_t> v = ParseNumber(parts[1], kMaxNodeId, line_number);
     if (!v.ok()) return v.status();
     Row row;
     row.u = static_cast<NodeId>(*u);
     row.v = static_cast<NodeId>(*v);
     row.w = 1;
     if (parts.size() == 3) {
-      StatusOr<uint64_t> w = ParseNumber(parts[2], line_number);
+      StatusOr<uint64_t> w = ParseNumber(parts[2], UINT32_MAX, line_number);
       if (!w.ok()) return w.status();
       row.w = static_cast<uint32_t>(*w);
     }

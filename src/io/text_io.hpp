@@ -10,6 +10,9 @@
 ///   `u v w` — endpoints and integer weight (weight defaults to 1 when
 ///   omitted).
 ///
+/// Node ids and counts are plain decimal integers. Ids run from 0 to
+/// kMaxNodeId; multiplicities and weights fit in 32 bits.
+///
 /// These are the de-facto formats of the public hypergraph dataset
 /// releases the paper evaluates on (Benson et al. [3]), so real datasets
 /// drop in directly.
@@ -30,6 +33,13 @@
 #include "hypergraph/projected_graph.hpp"
 
 namespace marioh::io {
+
+/// The largest node id the readers accept. Ids index dense per-node
+/// arrays (a projected graph holds one adjacency map for every id up to
+/// the largest), so one stray huge id in a file would otherwise allocate
+/// up to hundreds of gigabytes. 2^20 ids cost at most ~60 MB of empty
+/// maps and sit far above the paper's datasets (a few thousand nodes).
+inline constexpr NodeId kMaxNodeId = (NodeId{1} << 20) - 1;
 
 /// Parses a hypergraph from a stream. kInvalidArgument on malformed lines
 /// (non-numeric tokens; hyperedges with < 2 distinct nodes are skipped

@@ -6,8 +6,13 @@
 #include <cstring>
 #include <numeric>
 
+#include "ml/mlp_kernel.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace marioh::ml {
 namespace {
@@ -30,68 +35,116 @@ void SoftmaxInPlace(double* z, size_t n) {
   for (size_t i = 0; i < n; ++i) z[i] /= sum;
 }
 
+using kernel::AdamScalars;
+using kernel::Dense;
+using kernel::Strided;
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+
 // ---------------------------------------------------------------------------
 // The order-preserving kernel. Every product the network computes is
 // C = X * Y where each C[r][k] starts at 0.0 and adds X[r][t] * Y[t][k] for
 // t = 0, 1, ... in order: the same operations in the same order as one
 // scalar dot product per output, so results do not depend on the tiling,
 // on the batch a row is in, or on its position in that batch. Speed comes
-// from running independent sums side by side (4 x 4 register tiles on
-// 2-wide vectors), never from reassociating one sum. See src/ml/README.md
-// for the flags this file must not be built with.
+// from running independent sums side by side (4-row register tiles on
+// W-wide vectors), never from reassociating one sum.
+//
+// The templates below are the one kernel source. Each variant is a
+// `flatten` entry point that inlines them whole, compiled for its own
+// instruction set: W = 2 on baseline x86-64 (SSE2), W = 4 under AVX2 and
+// W = 8 under AVX-512F. The width must match the instruction set: a
+// vector wider than the registers is split into pieces and runs several
+// times slower than the narrow one. Everything here has internal linkage,
+// so no copy compiled for a wide instruction set can stand in for a
+// baseline one at link time. See src/ml/README.md for the flags this file
+// must be built with.
 
-using Pair = double __attribute__((vector_size(16)));
+// W doubles in one vector (GCC/Clang vector extension). The size must be
+// spelled out: a dependent vector_size is dropped.
+template <size_t W>
+struct VecOf;
+template <>
+struct VecOf<2> {
+  using type = double __attribute__((vector_size(16)));
+};
+template <>
+struct VecOf<4> {
+  using type = double __attribute__((vector_size(32)));
+};
+template <>
+struct VecOf<8> {
+  using type = double __attribute__((vector_size(64)));
+};
+template <size_t W>
+using Vec = typename VecOf<W>::type;
 
-Pair Load(const double* p) {
-  Pair v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+// Load and Store move vectors through pointers and references only: a
+// wide vector passed by value out of a baseline-compiled function would
+// change the call ABI (-Wpsabi), even though every call is flattened away.
+template <size_t W>
+void Load(const double* p, Vec<W>* v) {
+  std::memcpy(v, p, sizeof *v);
 }
 
-void Store(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+template <size_t W>
+void Store(double* p, const Vec<W>& v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
-/// Left operand: element (r, t) is `data[r * row_stride + t * col_stride]`,
-/// so a transposed matrix needs no copy.
-struct Strided {
-  const double* data;
-  size_t row_stride;
-  size_t col_stride;
-  double operator()(size_t r, size_t t) const {
-    return data[r * row_stride + t * col_stride];
-  }
-};
+// Correctly rounded square roots in place, one per instruction set; each
+// lane equals the scalar std::sqrt of that lane.
+#if defined(__x86_64__)
+void Sqrt(Vec<2>* x) { *x = _mm_sqrt_pd(*x); }
+[[gnu::target("avx2")]] void Sqrt(Vec<4>* x) { *x = _mm256_sqrt_pd(*x); }
+// All eight lanes through the zero-masking form: the same instruction as
+// _mm512_sqrt_pd, whose header trips GCC 12's -Wmaybe-uninitialized.
+[[gnu::target("avx512f")]] void Sqrt(Vec<8>* x) {
+  *x = _mm512_maskz_sqrt_pd(0xff, *x);
+}
+#else
+void Sqrt(Vec<2>* x) {
+  *x = Vec<2>{std::sqrt((*x)[0]), std::sqrt((*x)[1])};
+}
+#endif
+void Sqrt(double* x) { *x = std::sqrt(*x); }
 
-/// Right operand and result: plain row-major with a leading dimension.
-struct Dense {
-  const double* y;
-  size_t ldy;
-  double* c;
-  size_t ldc;
-};
+/// Adam's per-element update for one value or, lane by lane with the same
+/// expressions, a vector of them; `g` is the batch-mean gradient.
+template <typename T>
+void AdamUpdate(const T& g, const AdamScalars& adam, T* w, T* m, T* v) {
+  constexpr double kEps = 1e-8;
+  *m = kBeta1 * *m + (1 - kBeta1) * g;
+  *v = kBeta2 * *v + (1 - kBeta2) * g * g;
+  T mhat = *m / adam.bc1;
+  T sqrt_vhat = *v / adam.bc2;
+  Sqrt(&sqrt_vhat);
+  *w -= adam.lr * mhat / (sqrt_vhat + kEps);
+}
 
-/// C[r0 .. r0+R) x [k0 .. k0+2V): R x V pairs of accumulators.
-template <size_t R, size_t V>
+/// C[r0 .. r0+R) x [k0 .. k0+W*V): R x V vectors of accumulators.
+template <size_t W, size_t R, size_t V>
 void Block(const Strided& x, const Dense& d, size_t depth, size_t r0,
            size_t k0) {
-  Pair acc[R][V] = {};
+  Vec<W> acc[R][V] = {};
   for (size_t t = 0; t < depth; ++t) {
     const double* yt = d.y + t * d.ldy + k0;
-    Pair yv[V];
-    for (size_t v = 0; v < V; ++v) yv[v] = Load(yt + 2 * v);
+    Vec<W> yv[V];
+    for (size_t v = 0; v < V; ++v) Load<W>(yt + W * v, &yv[v]);
     for (size_t r = 0; r < R; ++r) {
       const double xs = x(r0 + r, t);
-      const Pair xv = {xs, xs};
-      for (size_t v = 0; v < V; ++v) acc[r][v] += xv * yv[v];
+      for (size_t v = 0; v < V; ++v) acc[r][v] += xs * yv[v];
     }
   }
   for (size_t r = 0; r < R; ++r) {
     for (size_t v = 0; v < V; ++v) {
-      Store(d.c + (r0 + r) * d.ldc + k0 + 2 * v, acc[r][v]);
+      Store<W>(d.c + (r0 + r) * d.ldc + k0 + W * v, acc[r][v]);
     }
   }
 }
 
-/// The single column k of R rows (the odd column left after the pairs).
+/// The single column k of R rows (the columns left after the vectors).
 template <size_t R>
 void Column(const Strided& x, const Dense& d, size_t depth, size_t r0,
             size_t k) {
@@ -103,53 +156,130 @@ void Column(const Strided& x, const Dense& d, size_t depth, size_t r0,
   for (size_t r = 0; r < R; ++r) d.c[(r0 + r) * d.ldc + k] = acc[r];
 }
 
-/// All n columns of R rows: tiles of V pairs, then single pairs, then the
-/// odd column.
-template <size_t R, size_t V>
+/// All n columns of R rows: tiles of V vectors, then single vectors, then
+/// single columns.
+template <size_t W, size_t R, size_t V>
 void Rows(const Strided& x, const Dense& d, size_t n, size_t depth,
           size_t r0) {
   size_t k = 0;
-  for (; k + 2 * V <= n; k += 2 * V) Block<R, V>(x, d, depth, r0, k);
-  for (; k + 2 <= n; k += 2) Block<R, 1>(x, d, depth, r0, k);
-  if (k < n) Column<R>(x, d, depth, r0, k);
+  for (; k + W * V <= n; k += W * V) Block<W, R, V>(x, d, depth, r0, k);
+  for (; k + W <= n; k += W) Block<W, R, 1>(x, d, depth, r0, k);
+  for (; k < n; ++k) Column<R>(x, d, depth, r0, k);
 }
 
 /// C (m x n) = X (m x depth) * Y (depth x n). Rows go four at a time
-/// through 4 x 4 tiles; the remainder rows, a lone row included, take the
-/// k-vectorized axpy form on 1 x 8 tiles.
+/// through 4 x 2-vector tiles; the remainder rows, a lone row included,
+/// take the k-vectorized axpy form on 1 x 4-vector tiles.
+template <size_t W>
 void Gemm(size_t m, size_t n, size_t depth, const Strided& x,
           const Dense& d) {
   size_t r = 0;
-  for (; r + 4 <= m; r += 4) Rows<4, 2>(x, d, n, depth, r);
-  for (; r < m; ++r) Rows<1, 4>(x, d, n, depth, r);
+  for (; r + 4 <= m; r += 4) Rows<W, 4, 2>(x, d, n, depth, r);
+  for (; r < m; ++r) Rows<W, 1, 4>(x, d, n, depth, r);
 }
 
-constexpr double kBeta1 = 0.9;
-constexpr double kBeta2 = 0.999;
+/// Adam over `count` weights: W at a time, then one by one.
+template <size_t W>
+void Adam(size_t count, const double* grad, double inv_batch, double decay,
+          const AdamScalars& adam, double* w, double* m, double* v) {
+  size_t i = 0;
+  for (; i + W <= count; i += W) {
+    Vec<W> pg, pw, pm, pv;
+    Load<W>(grad + i, &pg);
+    Load<W>(w + i, &pw);
+    Load<W>(m + i, &pm);
+    Load<W>(v + i, &pv);
+    AdamUpdate(pg * inv_batch + decay * pw, adam, &pw, &pm, &pv);
+    Store<W>(w + i, pw);
+    Store<W>(m + i, pm);
+    Store<W>(v + i, pv);
+  }
+  for (; i < count; ++i) {
+    AdamUpdate(grad[i] * inv_batch + decay * w[i], adam, &w[i], &m[i],
+               &v[i]);
+  }
+}
 
-/// Step size and bias corrections of one Adam step.
-struct AdamScalars {
-  double lr;
-  double bc1;
-  double bc2;
+// The entry points, one pair per variant, each with the templates
+// flattened into it under its instruction set.
+[[gnu::flatten]]
+void Gemm2(size_t m, size_t n, size_t depth, const Strided& x,
+           const Dense& d) {
+  Gemm<2>(m, n, depth, x, d);
+}
+[[gnu::flatten]]
+void Adam2(size_t count, const double* grad, double inv_batch, double decay,
+           const AdamScalars& adam, double* w, double* m, double* v) {
+  Adam<2>(count, grad, inv_batch, decay, adam, w, m, v);
+}
+
+#if defined(__x86_64__)
+[[gnu::flatten, gnu::target("avx2")]]
+void Gemm4(size_t m, size_t n, size_t depth, const Strided& x,
+           const Dense& d) {
+  Gemm<4>(m, n, depth, x, d);
+}
+[[gnu::flatten, gnu::target("avx2")]]
+void Adam4(size_t count, const double* grad, double inv_batch, double decay,
+           const AdamScalars& adam, double* w, double* m, double* v) {
+  Adam<4>(count, grad, inv_batch, decay, adam, w, m, v);
+}
+
+[[gnu::flatten, gnu::target("avx512f")]]
+void Gemm8(size_t m, size_t n, size_t depth, const Strided& x,
+           const Dense& d) {
+  Gemm<8>(m, n, depth, x, d);
+}
+[[gnu::flatten, gnu::target("avx512f")]]
+void Adam8(size_t count, const double* grad, double inv_batch, double decay,
+           const AdamScalars& adam, double* w, double* m, double* v) {
+  Adam<8>(count, grad, inv_batch, decay, adam, w, m, v);
+}
+#endif
+
+bool AlwaysSupported() { return true; }
+
+#if defined(__x86_64__)
+// __builtin_cpu_init makes the checks safe even from a static
+// initializer, before libgcc's own constructor has run.
+bool HasAvx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+bool HasAvx512f() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+}
+
+constexpr kernel::Variant kVariants[] = {
+    {"sse2", AlwaysSupported, Gemm2, Adam2},
+    {"avx2", HasAvx2, Gemm4, Adam4},
+    {"avx512f", HasAvx512f, Gemm8, Adam8},
 };
-
-double Sqrt(double x) { return std::sqrt(x); }
-Pair Sqrt(Pair x) { return Pair{std::sqrt(x[0]), std::sqrt(x[1])}; }
-
-/// Adam's per-element update for one value or, lane by lane with the same
-/// expressions, a pair of them; `g` is the batch-mean gradient.
-template <typename T>
-void AdamUpdate(T g, const AdamScalars& adam, T* w, T* m, T* v) {
-  constexpr double kEps = 1e-8;
-  *m = kBeta1 * *m + (1 - kBeta1) * g;
-  *v = kBeta2 * *v + (1 - kBeta2) * g * g;
-  T mhat = *m / adam.bc1;
-  T vhat = *v / adam.bc2;
-  *w -= adam.lr * mhat / (Sqrt(vhat) + kEps);
-}
+#else
+constexpr kernel::Variant kVariants[] = {
+    {"generic", AlwaysSupported, Gemm2, Adam2},
+};
+#endif
 
 }  // namespace
+
+namespace kernel {
+
+std::span<const Variant> Variants() { return kVariants; }
+
+const Variant& Dispatched() {
+  static const Variant* const chosen = [] {
+    const Variant* widest = &kVariants[0];
+    for (const Variant& variant : kVariants) {
+      if (variant.supported()) widest = &variant;
+    }
+    return widest;
+  }();
+  return *chosen;
+}
+
+}  // namespace kernel
 
 Mlp::Mlp(size_t input_dim, size_t output_dim, const MlpOptions& options)
     : options_(options) {
@@ -184,11 +314,12 @@ Mlp::Mlp(size_t input_dim, size_t output_dim, const MlpOptions& options)
 
 void Mlp::Forward(const double* x, size_t rows,
                   std::vector<la::Vector>* outs) const {
+  const auto gemm = kernel::Dispatched().gemm;
   const double* in = x;
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     double* out = (*outs)[l].data();
-    Gemm(rows, layer.out, layer.in, Strided{in, layer.in, 1},
+    gemm(rows, layer.out, layer.in, Strided{in, layer.in, 1},
          Dense{layer.w.data(), layer.out, out, layer.out});
     for (size_t r = 0; r < rows; ++r) {
       double* row = out + r * layer.out;
@@ -226,25 +357,9 @@ void Mlp::AdamStep(Layer* layer, const double* grad_w, const double* grad_b,
       options_.learning_rate,
       1.0 - std::pow(kBeta1, static_cast<double>(adam_t_)),
       1.0 - std::pow(kBeta2, static_cast<double>(adam_t_))};
-  const double decay = options_.weight_decay;
-  la::Vector& w = layer->w;
-  la::Vector& mw = layer->m_w;
-  la::Vector& vw = layer->v_w;
-  size_t i = 0;
-  for (; i + 2 <= w.size(); i += 2) {
-    Pair pw = Load(&w[i]);
-    Pair pm = Load(&mw[i]);
-    Pair pv = Load(&vw[i]);
-    AdamUpdate(Load(grad_w + i) * inv_batch + decay * pw, adam, &pw, &pm,
-               &pv);
-    Store(&w[i], pw);
-    Store(&mw[i], pm);
-    Store(&vw[i], pv);
-  }
-  for (; i < w.size(); ++i) {
-    AdamUpdate(grad_w[i] * inv_batch + decay * w[i], adam, &w[i], &mw[i],
-               &vw[i]);
-  }
+  kernel::Dispatched().adam(layer->w.size(), grad_w, inv_batch,
+                            options_.weight_decay, adam, layer->w.data(),
+                            layer->m_w.data(), layer->v_w.data());
   for (size_t j = 0; j < layer->b.size(); ++j) {
     AdamUpdate(grad_b[j] * inv_batch, adam, &layer->b[j], &layer->m_b[j],
                &layer->v_b[j]);
@@ -278,6 +393,7 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
     grad_b.emplace_back(layer.out);
   }
 
+  const auto gemm = kernel::Dispatched().gemm;
   util::CancelChecker checker(cancel);
   double last_epoch_loss = 0.0;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
@@ -321,7 +437,7 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
         const Layer& layer = layers_[l];
         const double* a_in = l == 0 ? input.data() : acts[l - 1].data();
         const double* delta = deltas[l].data();
-        Gemm(layer.in, layer.out, bs, Strided{a_in, 1, layer.in},
+        gemm(layer.in, layer.out, bs, Strided{a_in, 1, layer.in},
              Dense{delta, layer.out, grad_w[l].data(), layer.out});
         std::fill(grad_b[l].begin(), grad_b[l].end(), 0.0);
         for (size_t s = 0; s < bs; ++s) {
@@ -338,7 +454,7 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
           }
         }
         double* prev = deltas[l - 1].data();
-        Gemm(bs, layer.in, layer.out, Strided{delta, layer.out, 1},
+        gemm(bs, layer.in, layer.out, Strided{delta, layer.out, 1},
              Dense{wt, layer.in, prev, layer.in});
         for (size_t i = 0; i < bs * layer.in; ++i) {
           prev[i] = a_in[i] > 0.0 ? prev[i] : 0.0;

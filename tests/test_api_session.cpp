@@ -185,6 +185,33 @@ TEST(Session, OverridesRejectEmptyKeysAndValues) {
   EXPECT_TRUE(options.applied_session_keys.empty());
 }
 
+TEST(Session, NonFiniteNumericOverridesAreRejectedByName) {
+  // Session level: rejected when applied.
+  for (const char* value : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    SessionOptions options;
+    Status status = ApplySessionOverride(
+        &options, std::string("time_budget_seconds=") + value);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(status.message().find("time_budget_seconds"),
+              std::string::npos)
+        << status.message();
+  }
+  // Method level: rejected when the factory reads them at Configure.
+  for (const char* assignment :
+       {"theta_init=nan", "theta_init=inf", "theta_init=-inf", "alpha=nan"}) {
+    SessionOptions options;
+    ASSERT_TRUE(ApplySessionOverride(&options, assignment).ok())
+        << assignment;
+    Session session;
+    Status status = session.Configure(options);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << assignment;
+    const std::string key =
+        std::string(assignment).substr(0, std::string(assignment).find('='));
+    EXPECT_NE(status.message().find("'" + key + "'"), std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(Session, DuplicateSessionLevelOverridesAreRejected) {
   for (const auto& [first, second] :
        std::vector<std::pair<const char*, const char*>>{

@@ -1,14 +1,17 @@
-// Seed-fixed mutation fuzzing of the two entry points that read untrusted
-// request text: `api::ParseReconstructRequest` (the `submit` grammar, also
-// the journal's accept-record format) and `net::LineProtocol::Handle`
-// (every front end's request line). A corpus of valid `submit` lines is
-// mutated with byte flips, inserted and deleted tokens, duplicated keys
-// and truncations. The properties:
+// Seed-fixed mutation fuzzing of the entry points that read untrusted
+// bytes: `api::ParseReconstructRequest` (the `submit` grammar, also the
+// journal's accept-record format), `net::LineProtocol::Handle` (every
+// front end's request line) and the `io::TryRead*` dataset readers. A
+// corpus of valid `submit` lines is mutated with byte flips, inserted and
+// deleted tokens, duplicated keys and truncations; a corpus of small
+// valid dataset files with byte flips, truncations, out-of-range and
+// negative numbers and duplicated lines. The properties:
 //   - every input gets a Status and nothing throws or aborts;
 //   - a parse that is OK and passes ValidateRequestSerializable survives
 //     Serialize → Parse field for field, and re-serializes to the same
 //     line;
-//   - every Handle call answers exactly one `ok ...` / `error ...` line.
+//   - every Handle call answers exactly one `ok ...` / `error ...` line;
+//   - a dataset that reads OK has no node id above io::kMaxNodeId.
 // The iteration counts are fixed so the suite stays a few seconds in a
 // Release build; the sanitizer builds run it as part of the full suite.
 
@@ -24,6 +27,7 @@
 #include "api/dataset_cache.hpp"
 #include "api/request.hpp"
 #include "api/service.hpp"
+#include "io/text_io.hpp"
 #include "net/line_protocol.hpp"
 #include "util/rng.hpp"
 
@@ -35,6 +39,7 @@ using api::Status;
 
 constexpr int kParseIterations = 100000;
 constexpr int kHandleIterations = 10000;
+constexpr int kReadIterations = 20000;
 
 /// Valid `submit` argument lists over the `fuzz` dataset triple, together
 /// covering every typed key of the grammar plus a few overrides.
@@ -52,6 +57,8 @@ const std::vector<std::string>& Corpus() {
       "seed=18446744073709551615 priority=batch",
       "method=MARIOH train=fuzz.train target=fuzz.target theta_init=0.8 "
       "alpha=0.05 r_percent=10",
+      // Parses, but the job must end INVALID_ARGUMENT at Configure.
+      "method=MARIOH train=fuzz.train target=fuzz.target theta_init=nan",
   };
   return corpus;
 }
@@ -254,6 +261,141 @@ TEST(Fuzz, EveryHandledLineGetsExactlyOneResponseLine) {
     EXPECT_GT(accepted, kHandleIterations / 20);
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---- Dataset readers -------------------------------------------------------
+
+/// Small valid files in the hypergraph format (`u v ... [x m]`).
+const std::vector<std::string>& HypergraphFiles() {
+  static const std::vector<std::string> files = {
+      "# three hyperedges\n0 1 2\n1 3 x 4\n\n2 4 5 6 x 2\n",
+      "5 6\n6 7 8\n5 6\n7 8 x 1\n",
+      "0 1 2 3 4 5 6 7 8 9\n",
+  };
+  return files;
+}
+
+/// Small valid files in the weighted edge-list format (`u v [w]`).
+const std::vector<std::string>& GraphFiles() {
+  static const std::vector<std::string> files = {
+      "0 1 2\n1 2\n# weights default to 1\n2 3 5\n",
+      "3 4\n4 5 1\n\n3 5 7\n",
+      "0 9 1\n",
+  };
+  return files;
+}
+
+/// Tokens a mutation swaps in: small ids, ids and counts past the
+/// readers' ranges, negatives and other spellings they must reject.
+/// Every out-of-range value stays out of range under a one-digit flip or
+/// a one-digit truncation, so no mutant names millions of nodes.
+const std::vector<std::string>& NumberTokens() {
+  static const std::vector<std::string> tokens = {
+      "0", "1", "7", "x", "99999999999", "4294967295", "4294967296",
+      "18446744073709551615", "18446744073709551616", "-1", "-0", "+3",
+      "1e3", "0x10", "nan", "3.5", "#",
+  };
+  return tokens;
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + '\n';
+  return out;
+}
+
+/// Applies one to three random mutations to a dataset file.
+std::string MutateFile(std::string text, util::Rng* rng) {
+  const size_t rounds = 1 + rng->UniformIndex(3);
+  for (size_t round = 0; round < rounds; ++round) {
+    std::vector<std::string> lines = SplitLines(text);
+    switch (rng->UniformIndex(5)) {
+      case 0:  // byte flip, newlines and NULs included
+        if (text.empty()) break;
+        text[rng->UniformIndex(text.size())] =
+            static_cast<char>(rng->UniformIndex(256));
+        break;
+      case 1:  // truncate
+        text.resize(rng->UniformIndex(text.size() + 1));
+        break;
+      case 2: {  // duplicate a line
+        if (lines.empty()) break;
+        const std::string line = lines[rng->UniformIndex(lines.size())];
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(
+                                         rng->UniformIndex(lines.size() + 1)),
+                     line);
+        text = JoinLines(lines);
+        break;
+      }
+      default: {  // replace a token, or append one, with a number token
+        if (lines.empty()) lines.emplace_back();
+        std::string& line = lines[rng->UniformIndex(lines.size())];
+        std::vector<std::string> tokens = SplitTokens(line);
+        const std::string& token =
+            NumberTokens()[rng->UniformIndex(NumberTokens().size())];
+        if (tokens.empty() || rng->UniformIndex(4) == 0) {
+          tokens.push_back(token);
+        } else {
+          tokens[rng->UniformIndex(tokens.size())] = token;
+        }
+        line = JoinTokens(tokens);
+        text = JoinLines(lines);
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+/// A failed read must be a described kInvalidArgument.
+void ExpectInvalidArgument(const Status& status, const std::string& text) {
+  EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument) << text;
+  EXPECT_FALSE(status.message().empty()) << text;
+}
+
+TEST(Fuzz, DatasetReadersReturnAStatusForEveryInput) {
+  util::Rng rng(20261020);
+  int hypergraphs_read = 0;
+  int graphs_read = 0;
+  for (int i = 0; i < kReadIterations; ++i) {
+    const std::vector<std::string>& hypergraph_files = HypergraphFiles();
+    std::string text = MutateFile(
+        hypergraph_files[rng.UniformIndex(hypergraph_files.size())], &rng);
+    std::istringstream hypergraph_in(text);
+    api::StatusOr<Hypergraph> h = io::TryReadHypergraph(hypergraph_in);
+    if (h.ok()) {
+      EXPECT_LE(h->num_nodes(), size_t{io::kMaxNodeId} + 1) << text;
+      ++hypergraphs_read;
+    } else {
+      ExpectInvalidArgument(h.status(), text);
+    }
+
+    const std::vector<std::string>& graph_files = GraphFiles();
+    text = MutateFile(graph_files[rng.UniformIndex(graph_files.size())],
+                      &rng);
+    std::istringstream graph_in(text);
+    api::StatusOr<ProjectedGraph> g = io::TryReadProjectedGraph(graph_in);
+    if (g.ok()) {
+      EXPECT_LE(g->num_nodes(), size_t{io::kMaxNodeId} + 1) << text;
+      ++graphs_read;
+    } else {
+      ExpectInvalidArgument(g.status(), text);
+    }
+    if (HasFailure()) return;  // one clear report, not thousands
+  }
+  // Both outcomes must stay common, or the corpus stopped exercising one.
+  for (int read : {hypergraphs_read, graphs_read}) {
+    EXPECT_GT(read, kReadIterations / 10);
+    EXPECT_LT(read, kReadIterations * 9 / 10);
+  }
 }
 
 }  // namespace

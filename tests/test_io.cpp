@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "io/text_io.hpp"
 
@@ -49,6 +51,26 @@ TEST(HypergraphIo, RejectsBadTokens) {
   EXPECT_THROW(ReadHypergraph(in), std::invalid_argument);
 }
 
+TEST(HypergraphIo, RejectsSignedAndOutOfRangeNumbers) {
+  // All of these used to parse: stoull takes a '+' and reads "-1" as
+  // 2^64 - 1, the casts to 32 bits wrapped ids and multiplicities
+  // silently, and ids had no upper bound.
+  for (const std::string& line : std::vector<std::string>{
+           "-1 2", "+1 2", "1 4294967296", "1 2 x -1", "1 2 x 4294967296",
+           "1 " + std::to_string(kMaxNodeId + 1)}) {
+    std::stringstream in(line + "\n");
+    api::StatusOr<Hypergraph> h = TryReadHypergraph(in);
+    ASSERT_FALSE(h.ok()) << line;
+    EXPECT_EQ(h.status().code(), api::StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(h.status().message().find("line 1"), std::string::npos);
+  }
+  std::stringstream in("0 " + std::to_string(kMaxNodeId) + " x 4294967295\n");
+  api::StatusOr<Hypergraph> h = TryReadHypergraph(in);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h->num_nodes(), size_t{kMaxNodeId} + 1);
+  EXPECT_EQ(h->Multiplicity({0, kMaxNodeId}), 4294967295u);
+}
+
 TEST(HypergraphIo, MissingFileThrows) {
   EXPECT_THROW(ReadHypergraphFile("/nonexistent/path/h.txt"),
                std::invalid_argument);
@@ -85,6 +107,20 @@ TEST(ProjectedGraphIo, RejectsWrongArity) {
   EXPECT_THROW(ReadProjectedGraph(in), std::invalid_argument);
   std::stringstream in2("1 2 3 4\n");
   EXPECT_THROW(ReadProjectedGraph(in2), std::invalid_argument);
+}
+
+TEST(ProjectedGraphIo, RejectsSignedAndOutOfRangeNumbers) {
+  // "0 -1" and "0 4294967295" used to abort: the id wrapped to 2^32 - 1,
+  // so the graph was sized max + 1 = 0 nodes and AddWeight's bounds check
+  // fired.
+  for (const std::string& line : std::vector<std::string>{
+           "0 -1", "0 4294967295", "-0 1", "0 1 -3", "0 1 4294967296",
+           "0 " + std::to_string(kMaxNodeId + 1)}) {
+    std::stringstream in(line + "\n");
+    api::StatusOr<ProjectedGraph> g = TryReadProjectedGraph(in);
+    ASSERT_FALSE(g.ok()) << line;
+    EXPECT_EQ(g.status().code(), api::StatusCode::kInvalidArgument) << line;
+  }
 }
 
 TEST(ProjectedGraphIo, EmptyInputGivesEmptyGraph) {

@@ -1,17 +1,21 @@
 // Unit tests for the ML substrate: standard scaler, MLP training on
 // separable problems (sigmoid and softmax heads), the MLP's byte-for-byte
-// agreement with a per-sample reference implementation, and the GCN.
+// agreement with a per-sample reference implementation, every compiled
+// kernel variant against scalar loops, and the GCN.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <numeric>
+#include <string>
 
 #include "hypergraph/projected_graph.hpp"
 #include "ml/gcn.hpp"
 #include "ml/mlp.hpp"
+#include "ml/mlp_kernel.hpp"
 #include "ml/scaler.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
@@ -394,7 +398,9 @@ la::Matrix OracleFeatures(size_t n, size_t dim, util::Rng* rng) {
 }
 
 TEST(Mlp, BatchedMatchesPerSampleOracleByteForByte) {
-  const std::vector<std::vector<size_t>> hiddens = {{64, 32}, {5}, {}};
+  // {20, 9} leaves partial vectors at every width the kernel runs at.
+  const std::vector<std::vector<size_t>> hiddens = {
+      {64, 32}, {20, 9}, {5}, {}};
   // 150 rows: not a multiple of batch sizes 7 or 64.
   const size_t n = 150;
   const size_t probes = 37;
@@ -460,6 +466,117 @@ TEST(Mlp, BatchedMatchesPerSampleOracleByteForByte) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel variants. The oracle above runs only the variant dispatch picks;
+// these run every variant this CPU supports against scalar loops in the
+// kernel's operation order.
+
+/// Normal values with exact zeros and negative zeros mixed in.
+std::vector<double> KernelValues(size_t n, util::Rng* rng) {
+  std::vector<double> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = i % 7 == 3 ? 0.0 : i % 11 == 5 ? -0.0 : rng->Normal();
+  }
+  return v;
+}
+
+/// Runs `check` on every variant this CPU supports and prints their names.
+template <typename Check>
+void ForEachSupportedVariant(const Check& check) {
+  std::string ran;
+  const kernel::Variant* widest = nullptr;
+  for (const kernel::Variant& variant : kernel::Variants()) {
+    if (!variant.supported()) continue;
+    SCOPED_TRACE(variant.name);
+    check(variant);
+    ran += std::string(ran.empty() ? "" : " ") + variant.name;
+    widest = &variant;
+  }
+  ASSERT_NE(widest, nullptr);
+  EXPECT_EQ(&kernel::Dispatched(), widest);
+  std::cout << "[          ] kernel variants run: " << ran
+            << " (dispatched: " << kernel::Dispatched().name << ")\n";
+}
+
+TEST(MlpKernel, EveryVariantGemmMatchesTheScalarLoopByteForByte) {
+  util::Rng rng(41);
+  ForEachSupportedVariant([&](const kernel::Variant& variant) {
+    for (size_t m : {1u, 3u, 4u, 5u, 23u}) {
+      for (size_t n : {1u, 2u, 3u, 5u, 7u, 8u, 9u, 17u, 64u}) {
+        for (size_t depth : {1u, 2u, 23u, 64u}) {
+          for (bool transposed : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "m=" << m << " n=" << n << " depth=" << depth
+                         << " transposed=" << transposed);
+            // Padded leading dimensions: the kernel must leave the
+            // padding alone.
+            const size_t ldy = n + 3;
+            const size_t ldc = n + 1;
+            std::vector<double> x = KernelValues(m * depth, &rng);
+            std::vector<double> y = KernelValues(depth * ldy, &rng);
+            const kernel::Strided xs =
+                transposed ? kernel::Strided{x.data(), 1, m}
+                           : kernel::Strided{x.data(), depth, 1};
+            std::vector<double> got(m * ldc, 7.0);
+            std::vector<double> want(m * ldc, 7.0);
+            variant.gemm(m, n, depth, xs,
+                         kernel::Dense{y.data(), ldy, got.data(), ldc});
+            for (size_t r = 0; r < m; ++r) {
+              for (size_t k = 0; k < n; ++k) {
+                double acc = 0.0;
+                for (size_t t = 0; t < depth; ++t) {
+                  acc += xs(r, t) * y[t * ldy + k];
+                }
+                want[r * ldc + k] = acc;
+              }
+            }
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(double)),
+                      0);
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(MlpKernel, EveryVariantAdamMatchesTheScalarExpressionsByteForByte) {
+  constexpr double kBeta1 = 0.9;
+  constexpr double kBeta2 = 0.999;
+  constexpr double kEps = 1e-8;
+  util::Rng rng(43);
+  ForEachSupportedVariant([&](const kernel::Variant& variant) {
+    for (size_t count : {1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 100u}) {
+      SCOPED_TRACE(testing::Message() << "count=" << count);
+      std::vector<double> w = KernelValues(count, &rng);
+      std::vector<double> m(count, 0.0);
+      std::vector<double> v(count, 0.0);
+      std::vector<double> ref_w = w, ref_m = m, ref_v = v;
+      const double inv_batch = 1.0 / 7.0;
+      const double decay = 1e-5;
+      // Three steps, so the moments are non-trivial by the last one.
+      for (int step = 1; step <= 3; ++step) {
+        const kernel::AdamScalars adam{
+            1e-3, 1.0 - std::pow(kBeta1, step), 1.0 - std::pow(kBeta2, step)};
+        std::vector<double> grad = KernelValues(count, &rng);
+        variant.adam(count, grad.data(), inv_batch, decay, adam, w.data(),
+                     m.data(), v.data());
+        for (size_t i = 0; i < count; ++i) {
+          double g = grad[i] * inv_batch + decay * ref_w[i];
+          ref_m[i] = kBeta1 * ref_m[i] + (1 - kBeta1) * g;
+          ref_v[i] = kBeta2 * ref_v[i] + (1 - kBeta2) * g * g;
+          double mhat = ref_m[i] / adam.bc1;
+          double vhat = ref_v[i] / adam.bc2;
+          ref_w[i] -= adam.lr * mhat / (std::sqrt(vhat) + kEps);
+        }
+        ASSERT_TRUE(SameBytes(w, ref_w)) << "step " << step;
+        ASSERT_TRUE(SameBytes(m, ref_m)) << "step " << step;
+        ASSERT_TRUE(SameBytes(v, ref_v)) << "step " << step;
+      }
+    }
+  });
 }
 
 TEST(Mlp, TrippedTokenStopsFitBeforeTheFirstBatch) {
