@@ -195,10 +195,15 @@ void BM_FeatureExtractionCsr(benchmark::State& state) {
   marioh::core::FeatureExtractor extractor(
       marioh::core::FeatureMode::kMultiplicityAware);
   std::vector<NodeSet> cliques = marioh::EnumerateMaximalCliques(g).cliques.ToNodeSets();
+  // One row at a time through a reused scratch, as the batched paths do.
+  marioh::core::FeatureScratch scratch;
+  marioh::la::Vector row(extractor.dim());
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        extractor.Extract(csr, cliques[i % cliques.size()], true));
+    extractor.ExtractRow(csr, cliques[i % cliques.size()], true, &scratch,
+                         row.data());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
     ++i;
   }
 }
@@ -265,11 +270,16 @@ void BM_ParallelScoringScaling(benchmark::State& state) {
   int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     std::vector<double> sums(cliques.size());
-    marioh::util::ParallelFor(cliques.size(), threads, [&](size_t i) {
-      marioh::la::Vector f = extractor.Extract(csr, cliques[i], true);
-      double s = 0;
-      for (double v : f) s += v;
-      sums[i] = s;
+    marioh::util::ParallelForRanges(cliques.size(), threads,
+                                    [&](size_t begin, size_t end) {
+      marioh::core::FeatureScratch scratch;
+      marioh::la::Vector f(extractor.dim());
+      for (size_t i = begin; i < end; ++i) {
+        extractor.ExtractRow(csr, cliques[i], true, &scratch, f.data());
+        double s = 0;
+        for (double v : f) s += v;
+        sums[i] = s;
+      }
     });
     benchmark::DoNotOptimize(sums);
   }
@@ -281,7 +291,9 @@ BENCHMARK(BM_ParallelScoringScaling)->Arg(1)->Arg(2)->Arg(4)
 // The classifier M's shapes on the `eu` train stage: 6000 rows of the 23
 // multiplicity-aware features, hidden {64, 32}, batch 64 (epochs reduced
 // from 60). The GFLOP rate counter counts 2 FLOP per weight and row forward
-// and 4 backward.
+// and 4 backward. BM_MlpFit's 10 epochs are 940 Adam steps, most of them
+// past t = 356, where the bias correction bc1 is exactly 1.0 and the
+// update skips dividing by it, as in most of a 60-epoch fit.
 
 constexpr size_t kMlpRows = 6000;
 constexpr size_t kMlpDim = 23;
@@ -311,7 +323,7 @@ void BM_MlpFit(benchmark::State& state) {
   std::vector<double> y;
   marioh::la::Matrix x = MlpFeatures(kMlpRows, &y);
   marioh::ml::MlpOptions options;
-  options.epochs = 3;
+  options.epochs = 10;
   for (auto _ : state) {
     marioh::ml::Mlp mlp(kMlpDim, 1, options);
     benchmark::DoNotOptimize(mlp.Fit(x, y));

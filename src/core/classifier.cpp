@@ -17,7 +17,9 @@ NodeSet RandomSubset(const NodeSet& from, size_t k, util::Rng* rng) {
 }
 
 /// The ScoreAll body: features of each fixed-size chunk of cliques fill
-/// one matrix, scored by one PredictBatch call.
+/// one matrix, scored by one PredictBatch call. Each thread range reuses
+/// one FeatureScratch across its chunks and, like the cancellable
+/// util::ParallelFor, polls `cancel` before every chunk.
 template <typename Cliques>
 std::vector<double> ScoreChunks(const FeatureExtractor& extractor,
                                 const ml::StandardScaler& scaler,
@@ -30,18 +32,23 @@ std::vector<double> ScoreChunks(const FeatureExtractor& extractor,
   constexpr size_t kChunk = 32;
   const size_t n = cliques.size();
   std::vector<double> scores(n);
-  util::ParallelFor((n + kChunk - 1) / kChunk, num_threads, cancel,
-                    [&](size_t chunk) {
-    const size_t begin = chunk * kChunk;
-    const size_t end = std::min(n, begin + kChunk);
-    la::Matrix x(end - begin, extractor.dim());
-    for (size_t i = begin; i < end; ++i) {
-      la::Vector f = extractor.Extract(g, cliques[i], is_maximal);
-      std::copy(f.begin(), f.end(), x.Row(i - begin));
+  util::ParallelForRanges((n + kChunk - 1) / kChunk, num_threads,
+                          [&](size_t first, size_t last) {
+    util::CancelChecker checker(cancel);
+    FeatureScratch scratch;
+    for (size_t chunk = first; chunk < last; ++chunk) {
+      if (checker.ShouldStop()) return;
+      const size_t begin = chunk * kChunk;
+      const size_t end = std::min(n, begin + kChunk);
+      la::Matrix x(end - begin, extractor.dim());
+      for (size_t i = begin; i < end; ++i) {
+        extractor.ExtractRow(g, cliques[i], is_maximal, &scratch,
+                             x.Row(i - begin));
+      }
+      scaler.Transform(&x);
+      la::Vector p = mlp.PredictBatch(x);
+      std::copy(p.begin(), p.end(), scores.begin() + begin);
     }
-    scaler.Transform(&x);
-    la::Vector p = mlp.PredictBatch(x);
-    std::copy(p.begin(), p.end(), scores.begin() + begin);
   });
   return scores;
 }
@@ -159,12 +166,12 @@ void CliqueClassifier::Train(const ProjectedGraph& g_source,
   la::Matrix x(n, extractor_.dim());
   std::vector<double> y(n, 0.0);
   size_t row = 0;
+  FeatureScratch scratch;
   auto fill = [&](const std::vector<NodeSet>& cliques, double label) {
     for (const NodeSet& q : cliques) {
       if (checker.ShouldStop()) return;
-      la::Vector f = extractor_.Extract(snapshot, q,
-                                        maximal_set.count(q) > 0);
-      std::copy(f.begin(), f.end(), x.Row(row));
+      extractor_.ExtractRow(snapshot, q, maximal_set.count(q) > 0, &scratch,
+                            x.Row(row));
       y[row] = label;
       ++row;
     }

@@ -38,32 +38,55 @@ size_t FeatureDim(FeatureMode mode) {
   return 0;
 }
 
-la::Vector ExtractMultiplicityAware(const CsrGraph& g, CliqueView clique,
-                                    bool is_maximal) {
+/// The multiplicity-aware row, written to `out`. Every pair (c[i], c[j]),
+/// i < j, reads its multiplicity and MHH off c[i]'s neighbor weights,
+/// scattered once into the all-zero `weight_to`: w(c[i], c[j]) is
+/// `weight_to[c[j]]`, and MHH(c[i], c[j]) sums min(weight_to[z],
+/// w(c[j], z)) over c[j]'s row, where every z outside N(c[i]) adds
+/// min(0, .) = 0. MHH is an integer sum, so this equals the sorted merge
+/// of CsrGraph::Mhh exactly; the per-row lists and the aggregation keep
+/// their order, so the row is the same bits.
+void ExtractMultiplicityAware(const CsrGraph& g, CliqueView clique,
+                              bool is_maximal, FeatureScratch* scratch,
+                              double* out) {
   const size_t k = clique.size();
+  std::vector<uint32_t>& weight_to = scratch->weight_to;
+  if (weight_to.size() < g.num_nodes()) weight_to.resize(g.num_nodes(), 0);
 
   // Node-level: weighted degree of each clique member.
-  std::vector<double> wdeg;
-  wdeg.reserve(k);
+  std::vector<double>& wdeg = scratch->nodes;
+  wdeg.clear();
   for (NodeId u : clique) {
     wdeg.push_back(static_cast<double>(g.WeightedDegree(u)));
   }
 
   // Edge-level: multiplicity, MHH, MHH / multiplicity per clique edge.
-  std::vector<double> mult, mhh, mhh_ratio;
-  mult.reserve(k * (k - 1) / 2);
-  mhh.reserve(mult.capacity());
-  mhh_ratio.reserve(mult.capacity());
+  std::vector<double>& mult = scratch->mult;
+  std::vector<double>& mhh = scratch->mhh;
+  std::vector<double>& mhh_ratio = scratch->ratio;
+  mult.clear();
+  mhh.clear();
+  mhh_ratio.clear();
   double internal_weight = 0.0;
-  for (size_t i = 0; i < k; ++i) {
+  for (size_t i = 0; i + 1 < k; ++i) {
+    const auto nu = g.Neighbors(clique[i]);
+    const auto wu = g.Weights(clique[i]);
+    for (size_t a = 0; a < nu.size(); ++a) weight_to[nu[a]] = wu[a];
     for (size_t j = i + 1; j < k; ++j) {
-      double w = static_cast<double>(g.Weight(clique[i], clique[j]));
-      double m = static_cast<double>(g.Mhh(clique[i], clique[j]));
+      const auto nv = g.Neighbors(clique[j]);
+      const auto wv = g.Weights(clique[j]);
+      uint64_t shared = 0;
+      for (size_t b = 0; b < nv.size(); ++b) {
+        shared += std::min(weight_to[nv[b]], wv[b]);
+      }
+      double w = static_cast<double>(weight_to[clique[j]]);
+      double m = static_cast<double>(shared);
       mult.push_back(w);
       mhh.push_back(m);
       mhh_ratio.push_back(w > 0 ? m / w : 0.0);
       internal_weight += w;
     }
+    for (NodeId z : nu) weight_to[z] = 0;
   }
 
   // Clique-level: size, cut ratio, maximality.
@@ -74,20 +97,13 @@ la::Vector ExtractMultiplicityAware(const CsrGraph& g, CliqueView clique,
                          ? internal_weight / (internal_weight + boundary)
                          : 0.0;
 
-  la::Vector out;
-  out.reserve(FeatureDim(FeatureMode::kMultiplicityAware));
-  auto append = [&out](const std::vector<double>& agg) {
-    out.insert(out.end(), agg.begin(), agg.end());
-  };
-  append(util::Aggregate5(wdeg));
-  append(util::Aggregate5(mult));
-  append(util::Aggregate5(mhh));
-  append(util::Aggregate5(mhh_ratio));
-  out.push_back(static_cast<double>(k));
-  out.push_back(cut_ratio);
-  out.push_back(is_maximal ? 1.0 : 0.0);
-  MARIOH_CHECK_EQ(out.size(), FeatureDim(FeatureMode::kMultiplicityAware));
-  return out;
+  util::Aggregate5(wdeg, out);
+  util::Aggregate5(mult, out + 5);
+  util::Aggregate5(mhh, out + 10);
+  util::Aggregate5(mhh_ratio, out + 15);
+  out[20] = static_cast<double>(k);
+  out[21] = cut_ratio;
+  out[22] = is_maximal ? 1.0 : 0.0;
 }
 
 la::Vector ExtractStructural(const CsrGraph& g, CliqueView clique,
@@ -177,19 +193,39 @@ la::Vector ExtractMotif(const CsrGraph& g, CliqueView clique,
   return out;
 }
 
-la::Vector ExtractImpl(FeatureMode mode, const CsrGraph& g, CliqueView clique,
-                       bool is_maximal) {
+void ExtractInto(FeatureMode mode, const CsrGraph& g, CliqueView clique,
+                 bool is_maximal, FeatureScratch* scratch, double* out) {
   MARIOH_CHECK_GE(clique.size(), 2u);
+  la::Vector row;
   switch (mode) {
     case FeatureMode::kMultiplicityAware:
-      return ExtractMultiplicityAware(g, clique, is_maximal);
+      ExtractMultiplicityAware(g, clique, is_maximal, scratch, out);
+      return;
     case FeatureMode::kStructural:
-      return ExtractStructural(g, clique, is_maximal);
+      row = ExtractStructural(g, clique, is_maximal);
+      break;
     case FeatureMode::kMotif:
-      return ExtractMotif(g, clique, is_maximal);
+      row = ExtractMotif(g, clique, is_maximal);
+      break;
   }
-  MARIOH_CHECK(false);
-  return {};
+  std::copy(row.begin(), row.end(), out);
+}
+
+/// Fills row i of a (cliques.size() x dim) matrix with clique i's
+/// features, one scratch per thread range.
+template <typename Cliques>
+la::Matrix ExtractRows(FeatureMode mode, const CsrGraph& g,
+                       const Cliques& cliques, bool is_maximal,
+                       int num_threads) {
+  la::Matrix x(cliques.size(), FeatureDim(mode));
+  util::ParallelForRanges(cliques.size(), num_threads,
+                          [&](size_t begin, size_t end) {
+    FeatureScratch scratch;
+    for (size_t i = begin; i < end; ++i) {
+      ExtractInto(mode, g, cliques[i], is_maximal, &scratch, x.Row(i));
+    }
+  });
+  return x;
 }
 
 }  // namespace
@@ -204,31 +240,30 @@ la::Vector FeatureExtractor::Extract(const ProjectedGraph& g,
 
 la::Vector FeatureExtractor::Extract(const CsrGraph& g, CliqueView clique,
                                      bool is_maximal) const {
-  return ExtractImpl(mode_, g, clique, is_maximal);
+  FeatureScratch scratch;
+  la::Vector out(dim());
+  ExtractInto(mode_, g, clique, is_maximal, &scratch, out.data());
+  return out;
+}
+
+void FeatureExtractor::ExtractRow(const CsrGraph& g, CliqueView clique,
+                                  bool is_maximal, FeatureScratch* scratch,
+                                  double* out) const {
+  ExtractInto(mode_, g, clique, is_maximal, scratch, out);
 }
 
 la::Matrix FeatureExtractor::ExtractAll(const CsrGraph& g,
                                         std::span<const NodeSet> cliques,
                                         bool is_maximal,
                                         int num_threads) const {
-  la::Matrix x(cliques.size(), dim());
-  util::ParallelFor(cliques.size(), num_threads, [&](size_t i) {
-    la::Vector f = ExtractImpl(mode_, g, cliques[i], is_maximal);
-    std::copy(f.begin(), f.end(), x.Row(i));
-  });
-  return x;
+  return ExtractRows(mode_, g, cliques, is_maximal, num_threads);
 }
 
 la::Matrix FeatureExtractor::ExtractAll(const CsrGraph& g,
                                         const CliqueStore& cliques,
                                         bool is_maximal,
                                         int num_threads) const {
-  la::Matrix x(cliques.size(), dim());
-  util::ParallelFor(cliques.size(), num_threads, [&](size_t i) {
-    la::Vector f = ExtractImpl(mode_, g, cliques[i], is_maximal);
-    std::copy(f.begin(), f.end(), x.Row(i));
-  });
-  return x;
+  return ExtractRows(mode_, g, cliques, is_maximal, num_threads);
 }
 
 }  // namespace marioh::core

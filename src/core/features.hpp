@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
@@ -40,6 +42,17 @@ enum class FeatureMode {
   kMotif,
 };
 
+/// Working memory that one caller reuses across feature rows, so that a
+/// row allocates nothing. `weight_to` is a dense per-node array, all zero
+/// between rows, that holds one clique member's neighbor weights while
+/// that member's pairs are measured; the lists hold one row's per-node and
+/// per-edge values. It grows to the largest snapshot it has served and
+/// must not be shared between concurrent calls.
+struct FeatureScratch {
+  std::vector<uint32_t> weight_to;
+  std::vector<double> nodes, mult, mhh, ratio;
+};
+
 /// Extracts fixed-length feature vectors for cliques of a projected graph.
 /// Node- and edge-level features are summarized with the five-number
 /// aggregation {sum, mean, min, max, std} exactly as in the paper.
@@ -53,9 +66,19 @@ class FeatureExtractor {
   /// Feature vector of `clique` (a canonical NodeSet or CliqueView,
   /// size >= 2) measured on the snapshot `g`. `is_maximal` is the
   /// caller-supplied maximality indicator (cliques from the maximal
-  /// enumeration pass 1, sub-cliques 0).
+  /// enumeration pass 1, sub-cliques 0). A one-off: it sizes a fresh
+  /// `FeatureScratch` to `g`, so callers extracting many rows use
+  /// `ExtractRow` or `ExtractAll`.
   la::Vector Extract(const CsrGraph& g, CliqueView clique,
                      bool is_maximal) const;
+
+  /// The same row written to `out` (`dim()` doubles), bit for bit, with
+  /// `scratch` reused across calls: the path for callers that fill many
+  /// rows. Multiplicity-aware rows scatter each clique member's weights
+  /// into `scratch` once and read every pair's multiplicity and MHH off it
+  /// (see src/core/README.md); the other modes build their row as above.
+  void ExtractRow(const CsrGraph& g, CliqueView clique, bool is_maximal,
+                  FeatureScratch* scratch, double* out) const;
 
   /// Convenience for one-off probes on the mutable graph: builds a
   /// `CsrGraph` snapshot of `g` on every call, then forwards to the
@@ -65,8 +88,9 @@ class FeatureExtractor {
 
   /// Batched extraction over candidate cliques: row i of the result is
   /// `Extract(g, cliques[i], is_maximal)`. Rows are independent output
-  /// slots filled with `util::ParallelFor` (0 = all cores), so the matrix
-  /// is identical for any thread count.
+  /// slots filled with `util::ParallelForRanges` (0 = all cores), one
+  /// `FeatureScratch` per range, so the matrix is identical for any thread
+  /// count.
   la::Matrix ExtractAll(const CsrGraph& g, std::span<const NodeSet> cliques,
                         bool is_maximal, int num_threads) const;
 

@@ -86,6 +86,15 @@ StatusOr<Hypergraph> TryReadHypergraph(std::istream& in) {
       if (!id.ok()) return id.status();
       edge.push_back(static_cast<NodeId>(*id));
     }
+    // A repeated hyperedge adds to its running multiplicity, which is 32
+    // bits wide: reject the line that would wrap it.
+    Canonicalize(&edge);
+    if (multiplicity > UINT32_MAX - h.Multiplicity(edge)) {
+      return Status::InvalidArgument(
+          "line " + std::to_string(line_number) +
+          ": the hyperedge's total multiplicity exceeds " +
+          std::to_string(UINT32_MAX));
+    }
     h.AddEdge(std::move(edge), multiplicity);
   }
   return h;
@@ -136,6 +145,7 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
     NodeId u;
     NodeId v;
     uint32_t w;
+    size_t line_number;
   };
   std::vector<Row> rows;
   NodeId max_node = 0;
@@ -159,6 +169,7 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
     row.u = static_cast<NodeId>(*u);
     row.v = static_cast<NodeId>(*v);
     row.w = 1;
+    row.line_number = line_number;
     if (parts.size() == 3) {
       StatusOr<uint64_t> w = ParseNumber(parts[2], UINT32_MAX, line_number);
       if (!w.ok()) return w.status();
@@ -173,7 +184,16 @@ StatusOr<ProjectedGraph> TryReadProjectedGraph(std::istream& in) {
     rows.push_back(row);
   }
   ProjectedGraph g(rows.empty() ? 0 : max_node + 1);
-  for (const Row& row : rows) g.AddWeight(row.u, row.v, row.w);
+  for (const Row& row : rows) {
+    // A repeated edge adds to its running weight, which is 32 bits wide:
+    // reject the line that would wrap it.
+    if (row.w > UINT32_MAX - g.Weight(row.u, row.v)) {
+      return Status::InvalidArgument(
+          "line " + std::to_string(row.line_number) +
+          ": the edge's total weight exceeds " + std::to_string(UINT32_MAX));
+    }
+    g.AddWeight(row.u, row.v, row.w);
+  }
   return g;
 }
 

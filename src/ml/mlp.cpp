@@ -112,15 +112,38 @@ void Sqrt(double* x) { *x = std::sqrt(*x); }
 
 /// Adam's per-element update for one value or, lane by lane with the same
 /// expressions, a vector of them; `g` is the batch-mean gradient.
-template <typename T>
+/// `kUnitBc1` skips the bias correction of m, for the steps where `bc1`
+/// has rounded to exactly 1.0 (t >= 356 for beta1 = 0.9): m / 1.0 == m.
+template <bool kUnitBc1, typename T>
 void AdamUpdate(const T& g, const AdamScalars& adam, T* w, T* m, T* v) {
   constexpr double kEps = 1e-8;
   *m = kBeta1 * *m + (1 - kBeta1) * g;
   *v = kBeta2 * *v + (1 - kBeta2) * g * g;
-  T mhat = *m / adam.bc1;
+  T mhat = *m;
+  if constexpr (!kUnitBc1) mhat = *m / adam.bc1;
   T sqrt_vhat = *v / adam.bc2;
   Sqrt(&sqrt_vhat);
   *w -= adam.lr * mhat / (sqrt_vhat + kEps);
+}
+
+/// The epilogue `d` names (see kernel::Dense) on the finished sums at
+/// C[r][k ..), one value or one vector of them: the same operations, in
+/// the same order, as separate passes over C.
+template <typename T>
+void Finish(const Dense& d, size_t r, size_t k, T* sum) {
+  const T zero = {};
+  if (d.bias != nullptr) {
+    T bias;
+    std::memcpy(&bias, d.bias + k, sizeof bias);
+    *sum += bias;
+  }
+  // std::max(0.0, x) is (0.0 < x) ? x : 0.0.
+  if (d.relu) *sum = *sum > zero ? *sum : zero;
+  if (d.mask != nullptr) {
+    T mask;
+    std::memcpy(&mask, d.mask + r * d.ldc + k, sizeof mask);
+    *sum = mask > zero ? *sum : zero;
+  }
 }
 
 /// C[r0 .. r0+R) x [k0 .. k0+W*V): R x V vectors of accumulators.
@@ -139,6 +162,7 @@ void Block(const Strided& x, const Dense& d, size_t depth, size_t r0,
   }
   for (size_t r = 0; r < R; ++r) {
     for (size_t v = 0; v < V; ++v) {
+      Finish(d, r0 + r, k0 + W * v, &acc[r][v]);
       Store<W>(d.c + (r0 + r) * d.ldc + k0 + W * v, acc[r][v]);
     }
   }
@@ -153,7 +177,10 @@ void Column(const Strided& x, const Dense& d, size_t depth, size_t r0,
     const double yk = d.y[t * d.ldy + k];
     for (size_t r = 0; r < R; ++r) acc[r] += x(r0 + r, t) * yk;
   }
-  for (size_t r = 0; r < R; ++r) d.c[(r0 + r) * d.ldc + k] = acc[r];
+  for (size_t r = 0; r < R; ++r) {
+    Finish(d, r0 + r, k, &acc[r]);
+    d.c[(r0 + r) * d.ldc + k] = acc[r];
+  }
 }
 
 /// All n columns of R rows: tiles of V vectors, then single vectors, then
@@ -179,9 +206,10 @@ void Gemm(size_t m, size_t n, size_t depth, const Strided& x,
 }
 
 /// Adam over `count` weights: W at a time, then one by one.
-template <size_t W>
-void Adam(size_t count, const double* grad, double inv_batch, double decay,
-          const AdamScalars& adam, double* w, double* m, double* v) {
+template <size_t W, bool kUnitBc1>
+void AdamRun(size_t count, const double* grad, double inv_batch,
+             double decay, const AdamScalars& adam, double* w, double* m,
+             double* v) {
   size_t i = 0;
   for (; i + W <= count; i += W) {
     Vec<W> pg, pw, pm, pv;
@@ -189,14 +217,24 @@ void Adam(size_t count, const double* grad, double inv_batch, double decay,
     Load<W>(w + i, &pw);
     Load<W>(m + i, &pm);
     Load<W>(v + i, &pv);
-    AdamUpdate(pg * inv_batch + decay * pw, adam, &pw, &pm, &pv);
+    AdamUpdate<kUnitBc1>(pg * inv_batch + decay * pw, adam, &pw, &pm, &pv);
     Store<W>(w + i, pw);
     Store<W>(m + i, pm);
     Store<W>(v + i, pv);
   }
   for (; i < count; ++i) {
-    AdamUpdate(grad[i] * inv_batch + decay * w[i], adam, &w[i], &m[i],
-               &v[i]);
+    AdamUpdate<kUnitBc1>(grad[i] * inv_batch + decay * w[i], adam, &w[i],
+                         &m[i], &v[i]);
+  }
+}
+
+template <size_t W>
+void Adam(size_t count, const double* grad, double inv_batch, double decay,
+          const AdamScalars& adam, double* w, double* m, double* v) {
+  if (adam.bc1 == 1.0) {
+    AdamRun<W, true>(count, grad, inv_batch, decay, adam, w, m, v);
+  } else {
+    AdamRun<W, false>(count, grad, inv_batch, decay, adam, w, m, v);
   }
 }
 
@@ -319,17 +357,10 @@ void Mlp::Forward(const double* x, size_t rows,
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     double* out = (*outs)[l].data();
+    // Bias, then ReLU on hidden layers, as the product's epilogue.
     gemm(rows, layer.out, layer.in, Strided{in, layer.in, 1},
-         Dense{layer.w.data(), layer.out, out, layer.out});
-    for (size_t r = 0; r < rows; ++r) {
-      double* row = out + r * layer.out;
-      for (size_t i = 0; i < layer.out; ++i) row[i] += layer.b[i];
-    }
-    if (l + 1 < layers_.size()) {
-      for (size_t i = 0; i < rows * layer.out; ++i) {
-        out[i] = std::max(0.0, out[i]);  // ReLU
-      }
-    }
+         Dense{layer.w.data(), layer.out, out, layer.out, layer.b.data(),
+               l + 1 < layers_.size()});
     in = out;
   }
 }
@@ -360,9 +391,10 @@ void Mlp::AdamStep(Layer* layer, const double* grad_w, const double* grad_b,
   kernel::Dispatched().adam(layer->w.size(), grad_w, inv_batch,
                             options_.weight_decay, adam, layer->w.data(),
                             layer->m_w.data(), layer->v_w.data());
+  // The few biases keep the bc1 division; it is exact either way.
   for (size_t j = 0; j < layer->b.size(); ++j) {
-    AdamUpdate(grad_b[j] * inv_batch, adam, &layer->b[j], &layer->m_b[j],
-               &layer->v_b[j]);
+    AdamUpdate<false>(grad_b[j] * inv_batch, adam, &layer->b[j],
+                      &layer->m_b[j], &layer->v_b[j]);
   }
 }
 
@@ -394,14 +426,18 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
   }
 
   const auto gemm = kernel::Dispatched().gemm;
+  // The left operand of a bias gradient: a row of ones, all one value.
+  static constexpr double kOne = 1.0;
   util::CancelChecker checker(cancel);
-  double last_epoch_loss = 0.0;
+  double loss = 0.0;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(&order);
+    // Only the last epoch's loss is returned, so only it is summed.
+    const bool sum_loss = epoch + 1 == options_.epochs;
     double epoch_loss = 0.0;
     size_t processed = 0;
     for (size_t start = 0; start < n; start += options_.batch_size) {
-      if (checker.ShouldStop()) return last_epoch_loss;
+      if (checker.ShouldStop()) return 0.0;
       const size_t bs = std::min(n, start + options_.batch_size) - start;
       for (size_t s = 0; s < bs; ++s) {
         std::copy_n(x.Row(order[start + s]), input_dim(),
@@ -419,14 +455,16 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
         if (options_.head == Head::kSigmoid) {
           double p = Sigmoid(logits[0]);
           delta[0] = p - target;
-          epoch_loss += -(target * std::log(std::max(p, 1e-12)) +
-                          (1 - target) * std::log(std::max(1 - p, 1e-12)));
+          if (sum_loss) {
+            epoch_loss += -(target * std::log(std::max(p, 1e-12)) +
+                            (1 - target) * std::log(std::max(1 - p, 1e-12)));
+          }
         } else {
           std::copy_n(logits, classes, delta);
           SoftmaxInPlace(delta, classes);
           size_t label = static_cast<size_t>(target);
           MARIOH_CHECK_LT(label, classes);
-          epoch_loss += -std::log(std::max(delta[label], 1e-12));
+          if (sum_loss) epoch_loss += -std::log(std::max(delta[label], 1e-12));
           delta[label] -= 1.0;
         }
       }
@@ -437,14 +475,20 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
         const Layer& layer = layers_[l];
         const double* a_in = l == 0 ? input.data() : acts[l - 1].data();
         const double* delta = deltas[l].data();
-        gemm(layer.in, layer.out, bs, Strided{a_in, 1, layer.in},
-             Dense{delta, layer.out, grad_w[l].data(), layer.out});
-        std::fill(grad_b[l].begin(), grad_b[l].end(), 0.0);
-        for (size_t s = 0; s < bs; ++s) {
-          for (size_t i = 0; i < layer.out; ++i) {
-            grad_b[l][i] += delta[s * layer.out + i];
-          }
+        if (layer.out == 1) {
+          // grad_w as the 1 x in row delta^T * a_in, which is the same
+          // memory as the in x 1 column: each product delta * a equals
+          // a * delta, and a row runs on vectors where a column does not.
+          gemm(1, layer.in, bs, Strided{delta, 0, 1},
+               Dense{a_in, layer.in, grad_w[l].data(), layer.in});
+        } else {
+          gemm(layer.in, layer.out, bs, Strided{a_in, 1, layer.in},
+               Dense{delta, layer.out, grad_w[l].data(), layer.out});
         }
+        // grad_b = ones^T * delta: 0.0 plus 1.0 * delta[s][i] in s order
+        // is the plain column sum, bit for bit.
+        gemm(1, layer.out, bs, Strided{&kOne, 0, 0},
+             Dense{delta, layer.out, grad_b[l].data(), layer.out});
         if (l == 0) break;
         // prev = delta * W, masked by the ReLU derivative at the input.
         double* wt = weights_t[l].data();
@@ -455,10 +499,7 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
         }
         double* prev = deltas[l - 1].data();
         gemm(bs, layer.in, layer.out, Strided{delta, layer.out, 1},
-             Dense{wt, layer.in, prev, layer.in});
-        for (size_t i = 0; i < bs * layer.in; ++i) {
-          prev[i] = a_in[i] > 0.0 ? prev[i] : 0.0;
-        }
+             Dense{wt, layer.in, prev, layer.in, nullptr, false, a_in});
       }
 
       ++adam_t_;
@@ -468,9 +509,9 @@ double Mlp::Fit(const la::Matrix& x, const std::vector<double>& y,
       }
       processed += bs;
     }
-    last_epoch_loss = epoch_loss / static_cast<double>(processed);
+    if (sum_loss) loss = epoch_loss / static_cast<double>(processed);
   }
-  return last_epoch_loss;
+  return loss;
 }
 
 double Mlp::Predict(const la::Vector& x) const {

@@ -45,8 +45,9 @@ class Mlp {
   /// `cancel` (null = non-cancellable) is polled through a
   /// util::CancelChecker once per mini-batch, which also beats its
   /// heartbeat. An untripped token changes no output bit. Once it trips,
-  /// Fit returns at the next mini-batch boundary with the network partly
-  /// trained; the caller must discard it.
+  /// Fit returns 0.0 at the next mini-batch boundary with the network
+  /// partly trained; the caller must discard it. (Only the last epoch's
+  /// loss is summed, so a stopped fit has no loss to report.)
   double Fit(const la::Matrix& x, const std::vector<double>& y,
              const util::CancelToken* cancel = nullptr);
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace marioh::util {
@@ -15,6 +16,10 @@ namespace marioh::util {
 /// edge-level clique features (Sect. III-D). Returns all zeros for an empty
 /// input.
 std::vector<double> Aggregate5(const std::vector<double>& values);
+
+/// The same five numbers, written to `out[0..5)` without allocating; bit
+/// for bit equal to the overload above.
+void Aggregate5(std::span<const double> values, double* out);
 
 /// Online mean / standard-deviation accumulator (Welford).
 class RunningStats {

@@ -1,12 +1,23 @@
 // Unit tests for the clique feature extraction (Sect. III-D) on CSR
 // snapshots: dimensions, specific feature values on hand-computed graphs,
-// and both feature modes.
+// both feature modes, and byte equality of the scatter-based
+// multiplicity-aware rows with the per-pair merge oracle
+// (features_oracle.hpp) for every extraction path and thread count.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "core/features.hpp"
+#include "gen/profiles.hpp"
+#include "gen/split.hpp"
+#include "hypergraph/clique.hpp"
 #include "hypergraph/csr.hpp"
 #include "hypergraph/hypergraph.hpp"
+#include "util/rng.hpp"
+
+#include "features_oracle.hpp"
 
 namespace marioh::core {
 namespace {
@@ -149,6 +160,157 @@ TEST(FeatureExtractor, NeighborhoodDensityKeepsTheSmallestIdsOfAHub) {
   // 63 nodes -> 1953 pairs; present: the 62 hub edges plus (1,2). The
   // uncapped neighborhood would give (100 + 1 + 45) / 5050 instead.
   EXPECT_DOUBLE_EQ(f[10], 63.0 / 1953.0);
+}
+
+// ---- Scatter-based rows vs the merge oracle ------------------------------
+
+/// True if `row` holds exactly the bytes of the oracle's row for `clique`.
+bool MatchesOracle(const CsrGraph& g, CliqueView clique, bool is_maximal,
+                   const double* row) {
+  la::Vector expected =
+      testing_oracle::MultiplicityAwareRow(g, clique, is_maximal);
+  return std::memcmp(row, expected.data(),
+                     expected.size() * sizeof(double)) == 0;
+}
+
+/// A k-subset of the canonical `from`, drawn uniformly.
+NodeSet RandomSubset(const NodeSet& from, size_t k, util::Rng* rng) {
+  NodeSet out = rng->SampleWithoutReplacement(from, k);
+  Canonicalize(&out);
+  return out;
+}
+
+/// A random multigraph projection on `n` nodes: hyperedges of 2..6 members
+/// with multiplicity 1..4 drawn from ids [0, n - 9) plus the max id
+/// n - 1, so ids n - 9 .. n - 2 stay isolated.
+ProjectedGraph RandomProjection(uint64_t seed, size_t n) {
+  util::Rng rng(seed);
+  Hypergraph h(n);
+  const size_t wired = n - 9;
+  for (size_t e = 0; e < 2 * n; ++e) {
+    NodeSet edge;
+    const size_t size = static_cast<size_t>(rng.UniformInt(2, 6));
+    for (size_t i = 0; i < size; ++i) {
+      edge.push_back(rng.Bernoulli(0.05)
+                         ? static_cast<NodeId>(n - 1)
+                         : static_cast<NodeId>(rng.UniformIndex(wired)));
+    }
+    h.AddEdge(edge, static_cast<uint32_t>(rng.UniformInt(1, 4)));
+  }
+  return h.Project();
+}
+
+/// The candidates a test feeds the extractor: every maximal clique, every
+/// edge as a size-2 clique, random sub-cliques, and pairs joining an
+/// isolated node to the max id (not cliques; every pair weight is 0).
+std::vector<NodeSet> Candidates(const CsrGraph& g, const ProjectedGraph& pg,
+                                util::Rng* rng) {
+  std::vector<NodeSet> out = EnumerateMaximalCliques(g).cliques.ToNodeSets();
+  const size_t maximal = out.size();
+  for (size_t i = 0; i < maximal; ++i) {
+    if (out[i].size() < 3) continue;
+    const size_t k = static_cast<size_t>(
+        rng->UniformInt(2, static_cast<int64_t>(out[i].size()) - 1));
+    out.push_back(RandomSubset(out[i], k, rng));
+  }
+  for (const ProjectedGraph::Edge& e : pg.Edges()) {
+    out.push_back(NodeSet{std::min(e.u, e.v), std::max(e.u, e.v)});
+  }
+  const NodeId last = static_cast<NodeId>(g.num_nodes() - 1);
+  out.push_back(NodeSet{last - 1, last});
+  out.push_back(NodeSet{0, last - 2, last});
+  return out;
+}
+
+TEST(MultiplicityAwareScatter, MatchesTheMergeOracleOnRandomGraphs) {
+  FeatureExtractor fx(FeatureMode::kMultiplicityAware);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    ProjectedGraph pg = RandomProjection(seed, 40 + 10 * seed);
+    CsrGraph g(pg);
+    ASSERT_GT(g.Degree(static_cast<NodeId>(g.num_nodes() - 1)), 0u);
+    util::Rng rng(seed);
+    std::vector<NodeSet> cliques = Candidates(g, pg, &rng);
+    FeatureScratch scratch;
+    la::Vector row(fx.dim());
+    for (size_t i = 0; i < cliques.size(); ++i) {
+      const bool is_maximal = i % 2 == 0;
+      la::Vector one_off = fx.Extract(g, cliques[i], is_maximal);
+      EXPECT_TRUE(MatchesOracle(g, cliques[i], is_maximal, one_off.data()))
+          << "seed " << seed << " clique " << i;
+      fx.ExtractRow(g, cliques[i], is_maximal, &scratch, row.data());
+      EXPECT_TRUE(MatchesOracle(g, cliques[i], is_maximal, row.data()))
+          << "seed " << seed << " clique " << i;
+    }
+    for (int threads : {1, 4}) {
+      la::Matrix all = fx.ExtractAll(g, cliques, false, threads);
+      for (size_t i = 0; i < cliques.size(); ++i) {
+        EXPECT_TRUE(MatchesOracle(g, cliques[i], false, all.Row(i)))
+            << "seed " << seed << " clique " << i << " threads " << threads;
+      }
+    }
+    // The scratch is all zero between rows.
+    for (uint32_t w : scratch.weight_to) ASSERT_EQ(w, 0u);
+  }
+}
+
+TEST(MultiplicityAwareScatter, MatchesTheMergeOracleOnAnEuSource) {
+  gen::GeneratedDataset data = gen::Generate(gen::ProfileByName("eu"), 41);
+  util::Rng split_rng(2);
+  gen::SourceTargetSplit split =
+      gen::SplitHypergraph(data.hypergraph, &split_rng, 0.5);
+  const CsrGraph g(split.source.Project());
+  CliqueStore maximal = EnumerateMaximalCliques(g).cliques;
+  util::Rng rng(3);
+  std::vector<NodeSet> sub;
+  for (CliqueView q : maximal) {
+    if (q.size() < 3) continue;
+    NodeSet members(q.begin(), q.end());
+    const size_t k = static_cast<size_t>(
+        rng.UniformInt(2, static_cast<int64_t>(q.size()) - 1));
+    sub.push_back(RandomSubset(members, k, &rng));
+  }
+  ASSERT_GT(maximal.size(), 1000u);
+  ASSERT_GT(sub.size(), 500u);
+  FeatureExtractor fx(FeatureMode::kMultiplicityAware);
+  for (int threads : {1, 4}) {
+    la::Matrix rows = fx.ExtractAll(g, maximal, true, threads);
+    for (size_t i = 0; i < maximal.size(); ++i) {
+      ASSERT_TRUE(MatchesOracle(g, maximal[i], true, rows.Row(i)))
+          << "maximal clique " << i << " threads " << threads;
+    }
+    rows = fx.ExtractAll(g, sub, false, threads);
+    for (size_t i = 0; i < sub.size(); ++i) {
+      ASSERT_TRUE(MatchesOracle(g, sub[i], false, rows.Row(i)))
+          << "sub-clique " << i << " threads " << threads;
+    }
+  }
+}
+
+TEST(MultiplicityAwareScatter, OneScratchServesGraphsOfDifferentSizes) {
+  // Rows alternate between a large and a small graph through one scratch:
+  // any weight left behind by a member of one graph's clique would land
+  // in the other's next row.
+  ProjectedGraph large_pg = RandomProjection(11, 200);
+  ProjectedGraph small_pg = RandomProjection(12, 40);
+  const CsrGraph large(large_pg);
+  const CsrGraph small(small_pg);
+  util::Rng rng(13);
+  std::vector<NodeSet> large_cliques = Candidates(large, large_pg, &rng);
+  std::vector<NodeSet> small_cliques = Candidates(small, small_pg, &rng);
+  FeatureExtractor fx(FeatureMode::kMultiplicityAware);
+  FeatureScratch scratch;
+  la::Vector row(fx.dim());
+  const size_t rounds = std::max(large_cliques.size(), small_cliques.size());
+  for (size_t i = 0; i < rounds; ++i) {
+    // Small first, so the scratch also grows mid-run.
+    const NodeSet& s = small_cliques[i % small_cliques.size()];
+    fx.ExtractRow(small, s, true, &scratch, row.data());
+    ASSERT_TRUE(MatchesOracle(small, s, true, row.data())) << "round " << i;
+    const NodeSet& l = large_cliques[i % large_cliques.size()];
+    fx.ExtractRow(large, l, false, &scratch, row.data());
+    ASSERT_TRUE(MatchesOracle(large, l, false, row.data())) << "round " << i;
+  }
+  EXPECT_EQ(scratch.weight_to.size(), large.num_nodes());
 }
 
 }  // namespace

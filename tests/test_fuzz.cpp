@@ -271,6 +271,8 @@ const std::vector<std::string>& HypergraphFiles() {
       "# three hyperedges\n0 1 2\n1 3 x 4\n\n2 4 5 6 x 2\n",
       "5 6\n6 7 8\n5 6\n7 8 x 1\n",
       "0 1 2 3 4 5 6 7 8 9\n",
+      // Running multiplicities at the 32-bit limit.
+      "1 2 x 4294967295\n1 2 x 2\n",
   };
   return files;
 }
@@ -281,6 +283,8 @@ const std::vector<std::string>& GraphFiles() {
       "0 1 2\n1 2\n# weights default to 1\n2 3 5\n",
       "3 4\n4 5 1\n\n3 5 7\n",
       "0 9 1\n",
+      // Running weights at the 32-bit limit.
+      "0 1 4294967295\n0 1 1\n",
   };
   return files;
 }
@@ -373,6 +377,11 @@ TEST(Fuzz, DatasetReadersReturnAStatusForEveryInput) {
     api::StatusOr<Hypergraph> h = io::TryReadHypergraph(hypergraph_in);
     if (h.ok()) {
       EXPECT_LE(h->num_nodes(), size_t{io::kMaxNodeId} + 1) << text;
+      // No running multiplicity wrapped: the 32-bit counts add up to the
+      // total.
+      uint64_t multiplicities = 0;
+      for (const auto& [edge, m] : h->edges()) multiplicities += m;
+      EXPECT_EQ(multiplicities, h->num_total_edges()) << text;
       ++hypergraphs_read;
     } else {
       ExpectInvalidArgument(h.status(), text);
@@ -385,6 +394,10 @@ TEST(Fuzz, DatasetReadersReturnAStatusForEveryInput) {
     api::StatusOr<ProjectedGraph> g = io::TryReadProjectedGraph(graph_in);
     if (g.ok()) {
       EXPECT_LE(g->num_nodes(), size_t{io::kMaxNodeId} + 1) << text;
+      // No running weight wrapped to 0 on a counted edge.
+      for (const ProjectedGraph::Edge& e : g->Edges()) {
+        EXPECT_GT(e.weight, 0u) << text;
+      }
       ++graphs_read;
     } else {
       ExpectInvalidArgument(g.status(), text);

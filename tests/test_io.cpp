@@ -71,6 +71,22 @@ TEST(HypergraphIo, RejectsSignedAndOutOfRangeNumbers) {
   EXPECT_EQ(h->Multiplicity({0, kMaxNodeId}), 4294967295u);
 }
 
+TEST(HypergraphIo, RejectsALineThatOverflowsTheRunningMultiplicity) {
+  // Repeated lines add up in 32 bits; "x 4294967295" then "x 2" used to
+  // wrap to multiplicity 1.
+  std::stringstream in("1 2 x 4294967295\n# again\n2 1 x 2\n");
+  api::StatusOr<Hypergraph> h = TryReadHypergraph(in);
+  ASSERT_FALSE(h.ok());
+  EXPECT_EQ(h.status().code(), api::StatusCode::kInvalidArgument);
+  EXPECT_NE(h.status().message().find("line 3"), std::string::npos)
+      << h.status().message();
+  // Up to the limit exactly, the totals still add.
+  std::stringstream full("1 2 x 4294967294\n2 1\n");
+  h = TryReadHypergraph(full);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(h->Multiplicity({1, 2}), 4294967295u);
+}
+
 TEST(HypergraphIo, MissingFileThrows) {
   EXPECT_THROW(ReadHypergraphFile("/nonexistent/path/h.txt"),
                std::invalid_argument);
@@ -121,6 +137,22 @@ TEST(ProjectedGraphIo, RejectsSignedAndOutOfRangeNumbers) {
     ASSERT_FALSE(g.ok()) << line;
     EXPECT_EQ(g.status().code(), api::StatusCode::kInvalidArgument) << line;
   }
+}
+
+TEST(ProjectedGraphIo, RejectsALineThatOverflowsTheRunningWeight) {
+  // Repeated edges add up in 32 bits; "0 1 4294967295" then "0 1 1" used
+  // to leave a counted edge of weight 0.
+  std::stringstream in("0 1 4294967295\n2 3\n1 0 1\n");
+  api::StatusOr<ProjectedGraph> g = TryReadProjectedGraph(in);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), api::StatusCode::kInvalidArgument);
+  EXPECT_NE(g.status().message().find("line 3"), std::string::npos)
+      << g.status().message();
+  std::stringstream full("0 1 4294967294\n1 0\n");
+  g = TryReadProjectedGraph(full);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->Weight(0, 1), 4294967295u);
+  EXPECT_EQ(g->num_edges(), 1u);
 }
 
 TEST(ProjectedGraphIo, EmptyInputGivesEmptyGraph) {

@@ -407,7 +407,9 @@ TEST(Mlp, BatchedMatchesPerSampleOracleByteForByte) {
   for (Head head : {Head::kSigmoid, Head::kSoftmax}) {
     for (size_t dim : {1u, 13u, 23u}) {
       for (const std::vector<size_t>& hidden : hiddens) {
-        for (size_t batch : {1u, 7u, 64u}) {
+        // Batch 2 runs 450 Adam steps over the two Fits, past t = 356
+        // where bc1 rounds to 1.0 (batch 1 runs 900).
+        for (size_t batch : {1u, 2u, 7u, 64u}) {
           SCOPED_TRACE(testing::Message()
                        << "head=" << (head == Head::kSigmoid ? "sigmoid"
                                                              : "softmax")
@@ -506,35 +508,49 @@ TEST(MlpKernel, EveryVariantGemmMatchesTheScalarLoopByteForByte) {
     for (size_t m : {1u, 3u, 4u, 5u, 23u}) {
       for (size_t n : {1u, 2u, 3u, 5u, 7u, 8u, 9u, 17u, 64u}) {
         for (size_t depth : {1u, 2u, 23u, 64u}) {
-          for (bool transposed : {false, true}) {
-            SCOPED_TRACE(testing::Message()
-                         << "m=" << m << " n=" << n << " depth=" << depth
-                         << " transposed=" << transposed);
-            // Padded leading dimensions: the kernel must leave the
-            // padding alone.
-            const size_t ldy = n + 3;
-            const size_t ldc = n + 1;
-            std::vector<double> x = KernelValues(m * depth, &rng);
-            std::vector<double> y = KernelValues(depth * ldy, &rng);
-            const kernel::Strided xs =
-                transposed ? kernel::Strided{x.data(), 1, m}
-                           : kernel::Strided{x.data(), depth, 1};
-            std::vector<double> got(m * ldc, 7.0);
-            std::vector<double> want(m * ldc, 7.0);
-            variant.gemm(m, n, depth, xs,
-                         kernel::Dense{y.data(), ldy, got.data(), ldc});
-            for (size_t r = 0; r < m; ++r) {
-              for (size_t k = 0; k < n; ++k) {
-                double acc = 0.0;
-                for (size_t t = 0; t < depth; ++t) {
-                  acc += xs(r, t) * y[t * ldy + k];
+          for (int epilogue = 0; epilogue < 8; ++epilogue) {
+            for (bool transposed : {false, true}) {
+              const bool bias = (epilogue & 1) != 0;
+              const bool relu = (epilogue & 2) != 0;
+              const bool mask = (epilogue & 4) != 0;
+              SCOPED_TRACE(testing::Message()
+                           << "m=" << m << " n=" << n << " depth=" << depth
+                           << " transposed=" << transposed << " bias=" << bias
+                           << " relu=" << relu << " mask=" << mask);
+              // Padded leading dimensions: the kernel must leave the
+              // padding alone.
+              const size_t ldy = n + 3;
+              const size_t ldc = n + 1;
+              std::vector<double> x = KernelValues(m * depth, &rng);
+              std::vector<double> y = KernelValues(depth * ldy, &rng);
+              std::vector<double> b = KernelValues(n, &rng);
+              std::vector<double> a = KernelValues(m * ldc, &rng);
+              const kernel::Strided xs =
+                  transposed ? kernel::Strided{x.data(), 1, m}
+                             : kernel::Strided{x.data(), depth, 1};
+              std::vector<double> got(m * ldc, 7.0);
+              std::vector<double> want(m * ldc, 7.0);
+              variant.gemm(m, n, depth, xs,
+                           kernel::Dense{y.data(), ldy, got.data(), ldc,
+                                         bias ? b.data() : nullptr, relu,
+                                         mask ? a.data() : nullptr});
+              // The epilogue as the separate passes it replaces.
+              for (size_t r = 0; r < m; ++r) {
+                for (size_t k = 0; k < n; ++k) {
+                  double acc = 0.0;
+                  for (size_t t = 0; t < depth; ++t) {
+                    acc += xs(r, t) * y[t * ldy + k];
+                  }
+                  if (bias) acc += b[k];
+                  if (relu) acc = std::max(0.0, acc);
+                  if (mask) acc = a[r * ldc + k] > 0.0 ? acc : 0.0;
+                  want[r * ldc + k] = acc;
                 }
-                want[r * ldc + k] = acc;
               }
+              ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                    got.size() * sizeof(double)),
+                        0);
             }
-            ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                                  got.size() * sizeof(double)),
-                      0);
           }
         }
       }
@@ -556,10 +572,13 @@ TEST(MlpKernel, EveryVariantAdamMatchesTheScalarExpressionsByteForByte) {
       std::vector<double> ref_w = w, ref_m = m, ref_v = v;
       const double inv_batch = 1.0 / 7.0;
       const double decay = 1e-5;
-      // Three steps, so the moments are non-trivial by the last one.
-      for (int step = 1; step <= 3; ++step) {
+      // Three early steps, so the moments are non-trivial, then steps
+      // from t = 356 on, where bc1 is exactly 1.0 and the kernel skips
+      // the division by it.
+      for (int step : {1, 2, 3, 356, 357, 1000}) {
         const kernel::AdamScalars adam{
             1e-3, 1.0 - std::pow(kBeta1, step), 1.0 - std::pow(kBeta2, step)};
+        ASSERT_EQ(adam.bc1 == 1.0, step >= 356) << "step " << step;
         std::vector<double> grad = KernelValues(count, &rng);
         variant.adam(count, grad.data(), inv_batch, decay, adam, w.data(),
                      m.data(), v.data());
